@@ -356,6 +356,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
     )
     class_filter = ProximityClass.from_string(args.class_filter or "unconstrained")
     threads = _as_int(args.threads, "--threads") if args.threads is not None else 1
+    if threads < 1:
+        raise _UsageError(f"--threads must be at least 1, got {threads}")
     fmt = getattr(args, "fmt", None) or "jsonl"
     if fmt not in ("jsonl", "csv"):
         raise _UsageError(f"unknown sweep format {fmt!r}; expected jsonl or csv")

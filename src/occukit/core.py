@@ -33,10 +33,16 @@ All arithmetic is exact: weights are Python integers, norms are
 
 Evaluation routes
 -----------------
-``weight_sum_naive`` enumerates every admissible pattern tuple literally and
-is the oracle. ``weight_sum_dp`` reaches the same value by dynamic
-programming over draws with per-slot size budgets, cost
-``O(T * prod(p_j + 1) * 2^r)`` instead of ``O(prod C(T, p_j))``.
+``weight_sum_naive`` enumerates every admissible pattern tuple literally, at
+cost ``O(prod C(T, p_j))``, and is the oracle. ``weight_sum_dp`` reaches the
+same value by dynamic programming over draws, at cost ``T`` times the states
+times the moves per state. Slots with equal size sets form a class whose
+state is the multiset of its slots' used memberships: at most ``C(L + c, c)``
+states for ``c`` slots whose level is capped at ``L``. ``L`` is the largest
+admissible size, or ``lo`` when the sizes run from ``lo`` to ``T``, since
+every final size from ``lo`` on is then admissible. An at-least query on
+``r`` identical slots with threshold ``t`` thus has at most ``C(t + r, r)``
+states per draw, where uncapped levels would give about ``C(T + r, r)``.
 ``weight_sum_table`` produces ``G`` for every size vector of a given tuple
 length in one pass, which is what the inequality sweeps consume.
 """
@@ -44,7 +50,9 @@ length in one pass, which is what the inequality sweeps consume.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
+import math
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -281,37 +289,104 @@ def _position_combos(r: int) -> list[list[tuple[int, ...]]]:
     return [list(itertools.combinations(range(r), k)) for k in range(r + 1)]
 
 
-class _SizeWindow:
-    """Reachability test for one slot's admissible sizes during the DP."""
+class _SlotClass:
+    """The slots of one size set, tracked together as a multiset of levels.
 
-    __slots__ = ("lo", "hi", "contiguous", "sorted_sizes")
+    A slot's level is how many memberships it has used so far. When the size
+    set holds every size from ``top`` to ``T`` the top level is absorbing: any
+    final size from there on is admissible, so levels above ``top`` are not
+    told apart. Otherwise ``top`` is the largest size and no slot may pass it.
 
-    def __init__(self, sizes: frozenset[int]):
-        self.sorted_sizes = sorted(sizes)
-        self.lo = self.sorted_sizes[0]
-        self.hi = self.sorted_sizes[-1]
-        self.contiguous = len(sizes) == self.hi - self.lo + 1
+    Sub-states (sorted level tuples) get dense indices in the order they are
+    first reached; there are at most ``size = C(top + count, count)`` of them,
+    so the index is one digit, of radix ``size``, of the DP's state integer.
+    Each sub-state's moves are built once and kept for the rest of the call.
+    """
 
-    def feasible(self, used: int, remaining: int) -> bool:
-        # Some admissible size must lie in [used, used + remaining].
-        if self.contiguous:
-            return used <= self.hi and self.lo <= used + remaining
-        j = bisect_left(self.sorted_sizes, used)
-        return j < len(self.sorted_sizes) and self.sorted_sizes[j] <= used + remaining
+    __slots__ = (
+        "top", "absorbing", "need", "stride", "size", "levels", "index", "moves",
+    )
+
+    def __init__(self, sizes: frozenset[int], count: int, T: int, stride: int):
+        self.absorbing = T in sizes
+        top = max(sizes)
+        while self.absorbing and top - 1 in sizes:
+            top -= 1
+        self.top = top
+        # need[u]: fewest further memberships that take level u to an
+        # admissible size (0 at the absorbing level).
+        self.need = [min(s - u for s in sizes if s >= u) for u in range(top + 1)]
+        self.stride = stride
+        self.size = math.comb(top + count, count)
+        start = (0,) * count
+        self.levels = [start]
+        self.index = {start: 0}
+        self.moves: dict[int, tuple[list[int], list[tuple[int, int, int]]]] = {}
+
+    def _build(self, i: int) -> tuple[list[int], list[tuple[int, int, int]]]:
+        # A draw moves x_u of the h_u slots at level u up one level, in
+        # C(h_u, x_u) ways; at the absorbing level the slots stay put.
+        top, need = self.top, self.need
+        hist: list[list[int]] = []  # [level, slots there], levels ascending
+        for u in self.levels[i]:
+            if hist and hist[-1][0] == u:
+                hist[-1][1] += 1
+            else:
+                hist.append([u, 1])
+        choices = [
+            range(h + 1) if u < top or self.absorbing else range(1) for u, h in hist
+        ]
+        found = []
+        for xs in itertools.product(*choices):
+            new: list[int] = []  # stays sorted: u <= u + 1 <= the next level
+            k, mult, worst = 0, 1, 0
+            for (u, h), x in zip(hist, xs):
+                up = u + 1 if u < top else u
+                if x < h:
+                    new += [u] * (h - x)
+                    worst = max(worst, need[u])
+                if x:
+                    new += [up] * x
+                    worst = max(worst, need[up])
+                    k += x
+                    mult *= math.comb(h, x)
+            key = tuple(new)
+            j = self.index.get(key)
+            if j is None:
+                j = self.index[key] = len(self.levels)
+                self.levels.append(key)
+            found.append((worst, (j - i) * self.stride, k, mult))
+        found.sort()
+        entry = ([f[0] for f in found], [f[1:] for f in found])
+        self.moves[i] = entry
+        return entry
+
+    def moves_within(self, state: int, remaining: int) -> list[tuple[int, int, int]]:
+        """``(delta, k, multiplicity)`` of the moves from the sub-state of
+        ``state`` that leave every slot able to reach an admissible size with
+        ``remaining`` draws."""
+        i = state // self.stride % self.size
+        needs, moves = self.moves.get(i) or self._build(i)
+        if needs[-1] <= remaining:
+            return moves
+        return moves[: bisect_right(needs, remaining)]
 
 
 def weight_sum_dp(params: Params, spec: SpecLike) -> int:
     """Same value as :func:`weight_sum_naive`, by dynamic programming.
 
-    Walks the draws in order; the state is how many pattern memberships each
-    slot has used so far. For each draw an inner pass over the ``2^r``
-    membership choices applies the factor ``(m_i)_k (n - m_i)_(r-k)``, which
-    depends on the draw only through the membership count ``k``. States that
-    cannot reach an admissible final size with the draws left are pruned.
-
-    When every slot allows the same sizes, states that are permutations of
-    one another have identical futures and are merged (sorted state vector),
-    shrinking the state space by up to ``r!``.
+    Walks the draws in order. Slots with equal size sets form one class, and
+    the state is, per class, the multiset of levels (memberships used so far)
+    of its slots: slots of one class have identical futures, so which slot
+    holds which level does not matter. A draw with ``k`` memberships in all
+    applies ``(m_i)_k (n - m_i)_(r-k)``; moving ``x`` of the ``h`` slots at
+    one level up one counts ``C(h, x)`` ways. When a class's sizes run from
+    ``lo`` to ``T``, level ``lo`` is absorbing and higher levels are merged
+    into it. A class of ``c`` slots with top level ``L`` (``lo``, or its
+    largest size) has at most ``C(L + c, c)`` sub-states, and the state space
+    is their product. States from which some slot can no longer reach an
+    admissible size with the draws left are pruned, so every state left after
+    the last draw is admissible.
     """
     spec = SizeSpec.coerce(spec)
     _validate_spec(params, spec)
@@ -319,51 +394,39 @@ def weight_sum_dp(params: Params, spec: SpecLike) -> int:
     if r == 0:
         return 1
     T, n, m = params.T, params.n, params.m
-    combos = _position_combos(r)
-    merged = len(set(spec.entries)) == 1
-    windows = [_SizeWindow(entry) for entry in spec.entries]
-    if merged:
-        windows = [windows[0]] * r
+    classes: list[_SlotClass] = []
+    stride = 1
+    for sizes, count in Counter(spec.entries).items():
+        cls = _SlotClass(sizes, count, T, stride)
+        classes.append(cls)
+        stride *= cls.size
+    first, rest = classes[0], classes[1:]
 
-    states: dict[tuple[int, ...], int] = {(0,) * r: 1}
+    states: dict[int, int] = {0: 1}
     for idx in range(T):
         remaining = T - idx - 1
         fac = [
             falling_factorial(m[idx], k) * falling_factorial(n - m[idx], r - k)
             for k in range(r + 1)
         ]
-        nxt: dict[tuple[int, ...], int] = {}
+        nxt: dict[int, int] = {}
         for state, w in states.items():
-            for k in range(r + 1):
-                f = fac[k]
-                if f == 0:
-                    continue
-                wf = w * f
-                for positions in combos[k]:
-                    used = list(state)
-                    for pos in positions:
-                        used[pos] += 1
-                    if merged:
-                        used.sort()
-                    ok = True
-                    for slot, u in enumerate(used):
-                        if not windows[slot].feasible(u, remaining):
-                            ok = False
-                            break
-                    if not ok:
-                        continue
-                    key = tuple(used)
-                    prev = nxt.get(key)
-                    nxt[key] = wf if prev is None else prev + wf
+            moves = first.moves_within(state, remaining)
+            for cls in rest:
+                more = cls.moves_within(state, remaining)
+                moves = [
+                    (d1 + d2, k1 + k2, c1 * c2)
+                    for d1, k1, c1 in moves
+                    for d2, k2, c2 in more
+                ]
+            wk = [w * f for f in fac]
+            for delta, k, mult in moves:
+                v = wk[k]
+                if v:
+                    key = state + delta
+                    nxt[key] = nxt.get(key, 0) + v * mult
         states = nxt
-    total = 0
-    for state, w in states.items():
-        if merged:
-            if all(u in spec.entries[0] for u in state):
-                total += w
-        elif all(u in spec.entries[slot] for slot, u in enumerate(state)):
-            total += w
-    return total
+    return sum(states.values())
 
 
 def weight_sum_table(params: Params, r: int) -> dict[tuple[int, ...], int]:
@@ -409,7 +472,7 @@ def weight_sum_table(params: Params, r: int) -> dict[tuple[int, ...], int]:
     return table
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _cached_norm(params: Params, spec: SizeSpec) -> Fraction:
     num = weight_sum_dp(params, spec)
     den = falling_factorial(params.n, spec.r) ** (params.T - 1)
@@ -421,7 +484,8 @@ def occupancy_norm(params: Params, spec: SpecLike) -> Fraction:
 
     Raises :class:`DegenerateDenominatorError` when more slots are requested
     than the population holds (``r > n``), where ``(n)_r = 0`` makes the
-    quantity undefined. Results are memoized per ``(params, spec)``.
+    quantity undefined. Results are memoized per ``(params, spec)``, for the
+    4096 most recently used pairs.
     """
     spec = SizeSpec.coerce(spec)
     if spec.r > params.n:

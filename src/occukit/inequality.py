@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -265,43 +264,6 @@ class _CellCache:
             self._entries[key] = cached
         return cached
 
-    def preload(
-        self,
-        entries: Iterable[
-            tuple[
-                tuple[int, ...],
-                tuple[int, ...],
-                tuple[Fraction, Fraction, Fraction, bool],
-            ]
-        ],
-    ) -> None:
-        for m_sorted, p_sorted, value in entries:
-            self._entries[(m_sorted, p_sorted)] = value
-
-
-def _cell_worker(task):
-    n, T, m_groups, p_groups = task
-    cell = _CellCache(n, T)
-    out = []
-    for m_sorted in m_groups:
-        for p_sorted in p_groups:
-            out.append((m_sorted, p_sorted, cell.entry(m_sorted, p_sorted)))
-    return out
-
-
-def _canonical_cell_keys(
-    grid: GridSpec, n: int, T: int
-) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-    m_groups = sorted({tuple(sorted(m)) for m in _m_vectors(grid, n, T)})
-    p_groups = sorted(
-        {
-            tuple(sorted(p))
-            for r in grid.r_values
-            for p in _p_vectors(grid, T, r)
-        }
-    )
-    return m_groups, p_groups
-
 
 def grid_search(
     grid: GridSpec,
@@ -314,25 +276,18 @@ def grid_search(
     ``class_filter`` keeps only verdicts whose class is at most as wide:
     ``conservative`` emits conservative points only, ``relaxed`` adds the
     relaxed ones, ``unconstrained`` emits everything. Violations are ordinary
-    results; nothing is suppressed or raised. With ``threads > 1`` the margin
-    computations for each (n, T) cell are distributed over worker processes;
-    the emitted stream is identical to the serial one.
+    results; nothing is suppressed or raised. ``threads`` must be at least 1;
+    the margins are computed serially for any value, since worker processes
+    per (n, T) cell measured slower than one process, so the stream never
+    depends on it.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     rank = _CLASS_RANK[class_filter]
     emitted = 0
     for n in grid.n_values:
         for T in grid.T_values:
             cell = _CellCache(n, T)
-            if threads > 1:
-                m_groups, p_groups = _canonical_cell_keys(grid, n, T)
-                step = max(1, len(m_groups) // (threads * 4) or 1)
-                tasks = [
-                    (n, T, m_groups[i : i + step], p_groups)
-                    for i in range(0, len(m_groups), step)
-                ]
-                with ProcessPoolExecutor(max_workers=threads) as pool:
-                    for chunk in pool.map(_cell_worker, tasks):
-                        cell.preload(chunk)
             for r in grid.r_values:
                 p_list = [
                     (p, tuple(sorted(p)), classify_sizes(p))

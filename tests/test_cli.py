@@ -97,6 +97,9 @@ def test_usage_error_exit_codes(capsys):
     assert main(["moments", "--n", "5", "--m", "2,3", "--t", "1",
                  "--mode", "sometimes"]) == 1
     capsys.readouterr()
+    assert main(["inequality", "search", "--n", "3", "--T", "1", "--r", "2",
+                 "--format", "csv", "--threads", "0"]) == 1
+    assert capsys.readouterr().out == ""
 
 
 def test_budget_exit_code(capsys, monkeypatch):

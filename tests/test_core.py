@@ -1,10 +1,12 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from occukit import core
 from occukit.combinat import falling_factorial, iter_k_subsets
 from occukit.core import (
     Params,
@@ -178,6 +180,64 @@ def test_dp_matches_naive(case):
 
 
 @st.composite
+def class_heavy_case(draw):
+    # Favours what the slot classes and the absorbing cap must get right:
+    # repeated size sets mixed with distinct ones, suffix windows {t..T},
+    # sets with gaps, size 0, up to four slots, m_i = n and r = n.
+    n = draw(st.integers(1, 6))
+    r = draw(st.one_of(st.integers(0, 4), st.just(min(n, 4))))
+    T = draw(st.integers(1, 6 - max(r, 2) // 2))
+    m = tuple(draw(st.one_of(st.just(n), st.integers(1, n))) for _ in range(T))
+    pool = [
+        frozenset({draw(st.integers(0, T))}),
+        frozenset(range(draw(st.integers(0, T)), T + 1)),
+        frozenset(draw(st.sets(st.integers(0, T), min_size=1, max_size=T + 1))),
+    ]
+    entries = tuple(pool[draw(st.integers(0, 2))] for _ in range(r))
+    domain = 1
+    for entry in entries:
+        domain *= sum(math.comb(T, s) for s in entry)
+    assume(domain <= 20_000)
+    return Params(n, m), SizeSpec(entries)
+
+
+@given(class_heavy_case())
+@settings(max_examples=150, deadline=None)
+def test_dp_matches_naive_on_slot_classes(case):
+    params, spec = case
+    assert weight_sum_dp(params, spec) == weight_sum_naive(params, spec)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        [{2, 3, 4}, {2, 3, 4}, 5],
+        [{3, 4, 5}, 0, {3, 4, 5}, {1, 5}],
+        [{0, 2, 5}, {0, 2, 5}, {0, 2, 5}],
+        [{4, 5}, {4, 5}, {4, 5}, {4, 5}],
+    ],
+)
+def test_dp_matches_naive_on_repeated_entries(spec):
+    params = Params(4, (4, 2, 3, 4, 1))
+    assert weight_sum_dp(params, spec) == weight_sum_naive(params, spec)
+
+
+def test_dp_matches_table_sums_at_larger_T():
+    # Literal enumeration is out of reach at T = 13; the dense all-sizes
+    # table is an independent route to the same sums.
+    params = Params(30, (7, 12, 3, 25, 18, 9, 14, 21, 5, 16, 11, 28, 2))
+    table = weight_sum_table(params, 3)
+    suffix = frozenset(range(5, 14))
+    for entries in (
+        (suffix, suffix, frozenset({3, 4, 5})),
+        (suffix, suffix, suffix),
+        (frozenset({0, 6, 7}), suffix, frozenset(range(2, 9))),
+    ):
+        expected = sum(table[p] for p in itertools.product(*entries))
+        assert weight_sum_dp(params, SizeSpec(entries)) == expected
+
+
+@st.composite
 def instance_and_sizes(draw):
     n = draw(st.integers(2, 8))
     T = draw(st.integers(1, 5))
@@ -274,3 +334,13 @@ def test_norm_caching_is_transparent():
     a = occupancy_norm(P53, [1, 1])
     b = occupancy_norm(P53, SizeSpec.fixed(1, 1))
     assert a == b == Fraction(28, 5)
+
+
+def test_norm_cache_is_bounded_and_hit_on_repeat():
+    info = core._cached_norm.cache_info()
+    assert info.maxsize is not None and info.maxsize > 0
+    params = Params(9, (4, 5, 2))
+    occupancy_norm(params, [{1, 2}, 2])
+    hits = core._cached_norm.cache_info().hits
+    occupancy_norm(params, [{1, 2}, 2])
+    assert core._cached_norm.cache_info().hits == hits + 1

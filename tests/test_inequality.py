@@ -139,6 +139,11 @@ def test_grid_search_parallel_stream_identical():
     assert serial == parallel
 
 
+def test_grid_search_rejects_threads_below_one():
+    with pytest.raises(ValueError):
+        list(grid_search(_tiny_grid(), threads=0))
+
+
 def test_grid_search_class_filter_and_violation_reporting():
     grid = _tiny_grid(n_values=(3,), T_values=(2,), p_policy="all")
     everything = list(grid_search(grid, ProximityClass.UNCONSTRAINED))
