@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
@@ -62,19 +63,46 @@ from .combinat import falling_factorial, iter_k_subsets
 from .errors import DegenerateDenominatorError
 
 
+def _as_index(value: object, what: str) -> int:
+    """``value`` as an exact int. Ints and numpy integers pass; floats,
+    strings and bools raise ``TypeError`` rather than being truncated or
+    read as 0 and 1."""
+    if type(value) is int:
+        return value
+    if isinstance(value, bool):
+        raise TypeError(f"{what} must be an integer, got bool {value!r}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _is_scalar(value: object) -> bool:
+    return hasattr(type(value), "__index__")
+
+
+def _size_set(values: Iterable[int]) -> frozenset[int]:
+    """One slot's admissible sizes as a frozenset of exact ints."""
+    if type(values) is frozenset and {int}.issuperset(map(type, values)):
+        return values
+    return frozenset([_as_index(size, "pattern size") for size in values])
+
+
 @dataclass(frozen=True, slots=True)
 class Params:
     """One problem instance: population size ``n`` and draw sizes ``m``.
 
     ``m`` has one entry per draw; its length is the number of draws ``T``.
-    Every size must satisfy ``1 <= m_i <= n``.
+    Every size must be an integer (see ``_as_index``) with
+    ``1 <= m_i <= n``.
     """
 
     n: int
     m: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "m", tuple(int(v) for v in self.m))
+        object.__setattr__(self, "n", _as_index(self.n, "population size n"))
+        object.__setattr__(self, "m", tuple(_as_index(v, "draw size") for v in self.m))
         if self.n < 1:
             raise ValueError(f"population size must be positive, got n={self.n}")
         if len(self.m) < 1:
@@ -100,45 +128,41 @@ class SizeSpec:
 
     Each entry is a non-empty set of allowed cardinalities for one slot.
     A fixed size vector ``(p_1, ..., p_r)`` is the special case where every
-    entry is a singleton; mixed fixed/set entries are allowed. Upper bounds
-    are validated against a concrete instance at evaluation time, since the
-    same spec may be reused across instances with different ``T``.
+    entry is a singleton; mixed fixed/set entries are allowed. Sizes must be
+    integers (see ``_as_index``); each entry is stored as a frozenset. Upper
+    bounds are validated against a concrete instance at evaluation time,
+    since the same spec may be reused across instances with different ``T``.
     """
 
     entries: tuple[frozenset[int], ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "entries", tuple(map(_size_set, self.entries)))
         for entry in self.entries:
             if not entry:
                 raise ValueError("size sets must be non-empty")
-            if any(size < 0 for size in entry):
+            if min(entry) < 0:
                 raise ValueError(f"sizes must be non-negative, got {sorted(entry)}")
 
     @classmethod
     def fixed(cls, *sizes: int) -> "SizeSpec":
-        return cls(tuple(frozenset((int(p),)) for p in sizes))
+        return cls(tuple((p,) for p in sizes))
 
     @classmethod
     def of_sets(cls, *size_sets: Iterable[int]) -> "SizeSpec":
-        return cls(tuple(frozenset(int(s) for s in b) for b in size_sets))
+        return cls(size_sets)
 
     @classmethod
     def repeated(cls, entry: int | Iterable[int], count: int) -> "SizeSpec":
         """``count`` identical slots, each allowing ``entry`` (int or set)."""
-        b = frozenset((int(entry),)) if isinstance(entry, int) else frozenset(entry)
+        b = _size_set((entry,) if _is_scalar(entry) else entry)
         return cls((b,) * count)
 
     @classmethod
     def coerce(cls, value: SpecLike) -> "SizeSpec":
         if isinstance(value, SizeSpec):
             return value
-        entries = []
-        for item in value:
-            if isinstance(item, int):
-                entries.append(frozenset((item,)))
-            else:
-                entries.append(frozenset(int(s) for s in item))
-        return cls(tuple(entries))
+        return cls(tuple((item,) if _is_scalar(item) else item for item in value))
 
     @property
     def r(self) -> int:

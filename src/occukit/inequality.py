@@ -29,7 +29,10 @@ Closed forms implemented as independent cross-checks, all for two slots:
 from __future__ import annotations
 
 import enum
+import inspect
 import itertools
+import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -192,6 +195,22 @@ def _m_vectors(grid: GridSpec, n: int, T: int) -> Iterator[tuple[int, ...]]:
         yield from itertools.product(range(1, limit + 1), repeat=T)
 
 
+def _m_classes(grid: GridSpec, n: int, T: int) -> list[tuple[tuple[int, ...], int]]:
+    """Sorted m vectors in ascending order, each with the number of grid m
+    vectors that sort to it: ``T!/prod mult!`` under ``mixed``, 1 under
+    ``uniform``."""
+    if grid.m_policy == "uniform":
+        return [(m, 1) for m in _m_vectors(grid, n, T)]
+    limit = n if grid.include_full_m else n - 1
+    out = []
+    for m in itertools.combinations_with_replacement(range(1, limit + 1), T):
+        orbit = math.factorial(T)
+        for mult in Counter(m).values():
+            orbit //= math.factorial(mult)
+        out.append((m, orbit))
+    return out
+
+
 def _p_vectors(grid: GridSpec, T: int, r: int) -> Iterator[tuple[int, ...]]:
     if grid.p_policy == "all-equal":
         for p in range(T + 1):
@@ -214,7 +233,8 @@ class _CellCache:
     Both sides of the inequality are invariant under permuting the draw-size
     vector (relabelling draw indices) and under permuting the slot sizes
     (independent slots), so one exact computation per sorted (m, p) pair
-    serves every grid point in its symmetry class.
+    serves every grid point in its symmetry class. The point stream looks
+    an entry up once per point, the class-level summary once per class.
     """
 
     def __init__(self, n: int, T: int):
@@ -265,26 +285,11 @@ class _CellCache:
         return cached
 
 
-def grid_search(
-    grid: GridSpec,
-    class_filter: ProximityClass = ProximityClass.UNCONSTRAINED,
-    threads: int = 1,
-) -> Iterator[InequalityVerdict]:
-    """Yield one verdict per grid point, in deterministic grid order
-    (n, then T, then r, then m vector, then p vector, each ascending).
-
-    ``class_filter`` keeps only verdicts whose class is at most as wide:
-    ``conservative`` emits conservative points only, ``relaxed`` adds the
-    relaxed ones, ``unconstrained`` emits everything. Violations are ordinary
-    results; nothing is suppressed or raised. ``threads`` must be at least 1;
-    the margins are computed serially for any value, since worker processes
-    per (n, T) cell measured slower than one process, so the stream never
-    depends on it.
-    """
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
+def _blocks(grid: GridSpec, class_filter: ProximityClass) -> Iterator[tuple]:
+    """Every non-empty (n, T, r) block in grid order, as ``(n, T, cell,
+    p_list)`` with the filtered ``(p, sorted p, class)`` triples in order.
+    One margin cache per (n, T) serves all its r values."""
     rank = _CLASS_RANK[class_filter]
-    emitted = 0
     for n in grid.n_values:
         for T in grid.T_values:
             cell = _CellCache(n, T)
@@ -296,20 +301,132 @@ def grid_search(
                 p_list = [
                     item for item in p_list if _CLASS_RANK[item[2]] <= rank
                 ]
-                if not p_list:
-                    continue
-                for m in _m_vectors(grid, n, T):
-                    params = Params(n, m)
-                    m_sorted = tuple(sorted(m))
-                    for p, p_sorted, proximity in p_list:
-                        lhs, rhs, margin, holds = cell.entry(m_sorted, p_sorted)
-                        emitted += 1
-                        yield InequalityVerdict(
-                            params=params, p=p, lhs=lhs, rhs=rhs,
-                            margin=margin, holds=holds, proximity=proximity,
-                        )
-    if emitted == 0:
+                if p_list:
+                    yield n, T, cell, p_list
+
+
+def _block_verdicts(grid: GridSpec, block: tuple) -> Iterator[InequalityVerdict]:
+    n, T, cell, p_list = block
+    for m in _m_vectors(grid, n, T):
+        params = Params(n, m)
+        m_sorted = tuple(sorted(m))
+        for p, p_sorted, proximity in p_list:
+            lhs, rhs, margin, holds = cell.entry(m_sorted, p_sorted)
+            yield InequalityVerdict(
+                params=params, p=p, lhs=lhs, rhs=rhs,
+                margin=margin, holds=holds, proximity=proximity,
+            )
+
+
+def _verdicts(
+    grid: GridSpec, class_filter: ProximityClass
+) -> Iterator[InequalityVerdict]:
+    emitted = False
+    for block in _blocks(grid, class_filter):
+        emitted = True
+        yield from _block_verdicts(grid, block)
+    if not emitted:
         raise ValueError("grid produced no points (empty sweep)")
+
+
+class _GridSweep:
+    """The verdict stream of one ``grid_search`` call.
+
+    Iterating it yields the per-point stream; ``summarize_sweep`` folds an
+    unstarted one per symmetry class instead (see ``_summarize``).
+    """
+
+    __slots__ = ("grid", "class_filter", "_points")
+
+    def __init__(self, grid: GridSpec, class_filter: ProximityClass):
+        self.grid = grid
+        self.class_filter = class_filter
+        self._points = _verdicts(grid, class_filter)
+
+    def __iter__(self) -> Iterator[InequalityVerdict]:
+        return self._points
+
+    def __next__(self) -> InequalityVerdict:
+        return next(self._points)
+
+    def _summarize(self) -> SweepSummary | None:
+        """Class-level summary of the whole stream, or None, leaving the
+        stream as it is, once the stream has been started. The summary
+        closes the stream, so the sweep reads as consumed afterwards.
+
+        Per (n, T, r) block, each sorted m vector stands for its ``T!/prod
+        mult!`` orderings (1 under ``uniform``), and each sorted p vector
+        for the filtered p vectors that sort to it. Classes are visited in
+        ascending order of their sorted tuples, each the lexicographically
+        first member of its orbit, so strict ``<`` picks the same
+        ``min_margin_at`` as the per-point fold, and ``by_class`` keys come
+        out in the same first-seen order. Blocks with a violation are walked
+        point by point only while ``first_violations`` has room.
+        """
+        if inspect.getgeneratorstate(self._points) != inspect.GEN_CREATED:
+            return None
+        self._points.close()
+        grid, summary = self.grid, SweepSummary()
+        by_class, violations_by_class = summary.by_class, summary.violations_by_class
+        for block in _blocks(grid, self.class_filter):
+            n, T, cell, p_list = block
+            p_classes = sorted(Counter(
+                (p_sorted, proximity.value) for _, p_sorted, proximity in p_list
+            ).items())
+            m_classes = _m_classes(grid, n, T)
+            m_weight = sum(orbit for _, orbit in m_classes)
+            summary.total += m_weight * len(p_list)
+            for (_, name), count in p_classes:
+                by_class[name] = by_class.get(name, 0) + m_weight * count
+            violations = 0
+            for m_sorted, orbit in m_classes:
+                for (p_sorted, name), count in p_classes:
+                    margin, holds = cell.entry(m_sorted, p_sorted)[2:]
+                    if not holds:
+                        weight = orbit * count
+                        violations += weight
+                        violations_by_class[name] = (
+                            violations_by_class.get(name, 0) + weight
+                        )
+                    if summary.min_margin is None or margin < summary.min_margin:
+                        summary.min_margin = margin
+                        summary.min_margin_at = (n, m_sorted, p_sorted)
+            summary.violation_count += violations
+            if violations and len(summary.first_violations) < 10:
+                for verdict in _block_verdicts(grid, block):
+                    if not verdict.holds:
+                        summary.first_violations.append(verdict)
+                        if len(summary.first_violations) == 10:
+                            break
+        if summary.total == 0:
+            raise ValueError("grid produced no points (empty sweep)")
+        summary.holds_count = summary.total - summary.violation_count
+        return summary
+
+
+def grid_search(
+    grid: GridSpec,
+    class_filter: ProximityClass = ProximityClass.UNCONSTRAINED,
+    threads: int = 1,
+) -> Iterator[InequalityVerdict]:
+    """Yield one verdict per grid point, in deterministic grid order
+    (n, then T, then r, then m vector, then p vector, each ascending).
+
+    ``class_filter`` keeps only verdicts whose class is at most as wide:
+    ``conservative`` emits conservative points only, ``relaxed`` adds the
+    relaxed ones, ``unconstrained`` emits everything. Violations are ordinary
+    results; nothing is suppressed or raised. ``threads`` must be at least 1
+    (checked at the call); the margins are computed serially for any value,
+    since worker processes per (n, T) cell measured slower than one process,
+    so the stream never depends on it.
+
+    The returned iterator is consumed lazily point by point, except that
+    ``summarize_sweep`` given it unstarted tallies whole symmetry classes
+    without building the points.
+    """
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
+    return _GridSweep(grid, class_filter)
 
 
 @dataclass(slots=True)
@@ -342,6 +459,16 @@ class SweepSummary:
 
 
 def summarize_sweep(verdicts: Iterable[InequalityVerdict]) -> SweepSummary:
+    """Tally a verdict stream.
+
+    An unstarted ``grid_search`` result is summarized per symmetry class,
+    weighted by orbit size, with the same contents as the per-point fold
+    that every other iterable (a started sweep included) goes through.
+    """
+    if isinstance(verdicts, _GridSweep):
+        summary = verdicts._summarize()
+        if summary is not None:
+            return summary
     summary = SweepSummary()
     for verdict in verdicts:
         summary.add(verdict)

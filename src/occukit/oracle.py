@@ -199,22 +199,26 @@ def monte_carlo(
 
     The per-trial occupancy values are tallied into an exact integer
     histogram, so the accumulation is order-independent and the final
-    estimates do not depend on the worker count.
+    estimates do not depend on the worker count. ``threads`` must be at
+    least 1; no more threads start than there are blocks of trials.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     if max_order < 1:
         raise ValueError(f"max_order must be >= 1, got {max_order}")
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     threshold_sizes(params.T, t, mode)
     blocks = _blocks(trials)
+    workers = min(threads, len(blocks))
 
     def run(block: tuple[int, int]) -> np.ndarray:
         index, size = block
         return _block_histogram(params, t, mode, seed, index, size)
 
     hist = np.zeros(params.n + 1, dtype=np.int64)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             for partial in pool.map(run, blocks):
                 hist += partial
     else:
@@ -310,6 +314,8 @@ def compare_report(
     """
     if method not in ("auto", "exhaustive", "monte-carlo"):
         raise ValueError(f"unknown comparison method {method!r}")
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     if method == "auto":
         method = (
             "exhaustive"

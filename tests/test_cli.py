@@ -100,6 +100,10 @@ def test_usage_error_exit_codes(capsys):
     assert main(["inequality", "search", "--n", "3", "--T", "1", "--r", "2",
                  "--format", "csv", "--threads", "0"]) == 1
     assert capsys.readouterr().out == ""
+    assert main(["simulate", "--n", "6", "--m", "2,3", "--t", "1", "--mode",
+                 "exact", "--trials", "100", "--seed", "1", "--threads", "-3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "threads must be at least 1" in captured.err
 
 
 def test_budget_exit_code(capsys, monkeypatch):

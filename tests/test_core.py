@@ -2,6 +2,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -37,6 +38,27 @@ def test_params_rejects_bad_instances(n, m):
         Params(n, m)
 
 
+@pytest.mark.parametrize(
+    "n,m",
+    [
+        (5, (2.7,)),  # would truncate to 2
+        (5.0, (2,)),
+        (True, (1,)),
+        (5, (2, True)),
+        (5, ("2",)),
+    ],
+)
+def test_params_rejects_non_integers(n, m):
+    with pytest.raises(TypeError):
+        Params(n, m)
+
+
+def test_params_accepts_numpy_integers():
+    p = Params(np.int64(5), (np.int32(2), np.uint8(3)))
+    assert p == Params(5, (2, 3))
+    assert type(p.n) is int and all(type(v) is int for v in p.m)
+
+
 def test_params_basics():
     p = Params(4, [2, 2, 1])
     assert p.T == 3 and p.m == (2, 2, 1)
@@ -63,6 +85,30 @@ def test_size_spec_rejects_bad_entries():
         SizeSpec.fixed(-1)
     with pytest.raises(ValueError):
         SizeSpec.of_sets({1, 2}).fixed_sizes
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: SizeSpec.fixed(1.5),
+        lambda: SizeSpec.fixed(True),
+        lambda: SizeSpec.of_sets((0, 2.0)),
+        lambda: SizeSpec.repeated(False, 2),
+        lambda: SizeSpec.coerce([1, (2, True)]),
+        lambda: SizeSpec(((1, 2.5),)),
+    ],
+)
+def test_size_spec_rejects_non_integer_sizes(build):
+    with pytest.raises(TypeError):
+        build()
+
+
+def test_size_spec_accepts_numpy_integers():
+    spec = SizeSpec.coerce([np.int64(1), (np.int16(0), 2)])
+    assert spec == SizeSpec.of_sets((1,), (0, 2))
+    assert all(type(s) is int for entry in spec.entries for s in entry)
+    assert SizeSpec.fixed(np.int64(2), 3) == SizeSpec.fixed(2, 3)
+    assert SizeSpec.repeated(np.uint8(2), 2) == SizeSpec.fixed(2, 2)
 
 
 def test_spec_size_above_T_rejected():

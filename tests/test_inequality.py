@@ -194,6 +194,68 @@ def test_grid_spec_validation():
         GridSpec(n_values=(1,), T_values=(1,), r_values=(1,))
 
 
+def _summary_fields(s):
+    return (
+        s.total, s.holds_count, s.violation_count,
+        list(s.by_class.items()), list(s.violations_by_class.items()),
+        s.min_margin, s.min_margin_at, s.first_violations,
+    )
+
+
+@pytest.mark.parametrize(
+    "grid,class_filter",
+    [
+        (GridSpec((3, 4, 5), (1, 2, 3), (2, 3)), ProximityClass.UNCONSTRAINED),
+        (GridSpec((4, 5), (1, 2, 3), (2, 3, 4), p_policy="relaxed"),
+         ProximityClass.UNCONSTRAINED),
+        (GridSpec((4, 5), (1, 2, 3), (2, 3, 4), p_policy="relaxed"),
+         ProximityClass.CONSERVATIVE),
+        (GridSpec((4, 5), (1, 2, 3), (2, 3, 4), p_policy="all"),
+         ProximityClass.RELAXED),
+        (GridSpec((3, 4, 5, 6), (1, 2, 3, 4), (2, 3), m_policy="uniform",
+                  p_policy="all-equal"), ProximityClass.UNCONSTRAINED),
+        (GridSpec((3, 4), (1, 2, 3), (1, 2, 3), p_policy="all"),
+         ProximityClass.UNCONSTRAINED),
+        (GridSpec((3, 4), (1, 2, 3), (2, 3), p_policy="all",
+                  include_full_m=True), ProximityClass.UNCONSTRAINED),
+        (GridSpec((2, 3), (1, 2, 3, 4), (1, 2), m_policy="uniform",
+                  p_policy="all", include_full_m=True), ProximityClass.UNCONSTRAINED),
+    ],
+)
+def test_class_level_summary_matches_point_fold(grid, class_filter):
+    by_class = summarize_sweep(grid_search(grid, class_filter))
+    by_point = summarize_sweep(iter(list(grid_search(grid, class_filter))))
+    assert _summary_fields(by_class) == _summary_fields(by_point)
+
+
+def test_class_level_summary_records_violations_in_grid_order():
+    # More than ten violations spread over several blocks.
+    grid = GridSpec((3, 4), (1, 2, 3), (2, 3), p_policy="all")
+    points = list(grid_search(grid))
+    summary = summarize_sweep(grid_search(grid))
+    bad = [v for v in points if not v.holds]
+    assert len(bad) > 10 and summary.violation_count == len(bad)
+    assert summary.first_violations == bad[:10]
+    assert sum(summary.violations_by_class.values()) == len(bad)
+
+
+def test_started_sweep_summarizes_its_remaining_points():
+    grid = GridSpec((3, 4), (1, 2, 3), (2, 3), p_policy="all")
+    sweep = grid_search(grid)
+    first = next(sweep)
+    rest = summarize_sweep(sweep)
+    points = list(grid_search(grid))
+    assert first == points[0]
+    assert _summary_fields(rest) == _summary_fields(summarize_sweep(iter(points[1:])))
+    assert list(sweep) == []
+
+
+def test_class_level_summary_consumes_the_sweep():
+    sweep = grid_search(_tiny_grid())
+    summarize_sweep(sweep)
+    assert list(sweep) == []
+
+
 def test_grid_search_margin_matches_canonical_class():
     # Every verdict in one symmetry class carries the same exact margin.
     grid = _tiny_grid(n_values=(5,), T_values=(3,))

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from occukit import oracle
 from occukit.core import Params
 from occukit.errors import BudgetExceededError
 from occukit.moments import TailMode, raw_moment
@@ -111,6 +112,27 @@ def test_monte_carlo_rejects_bad_arguments():
         monte_carlo(P53, 1, TailMode.EXACTLY, 0, 1)
     with pytest.raises(ValueError):
         monte_carlo(P53, 9, TailMode.EXACTLY, 10, 1)
+    for threads in (0, -3):
+        with pytest.raises(ValueError, match="threads"):
+            monte_carlo(P53, 1, TailMode.EXACTLY, 10, 1, threads=threads)
+
+
+def test_monte_carlo_thread_pool_capped_at_block_count(monkeypatch):
+    sizes = []
+
+    class RecordingPool(oracle.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(oracle, "ThreadPoolExecutor", RecordingPool)
+    one_block = monte_carlo(P53, 1, TailMode.EXACTLY, 100, 5, threads=3)
+    assert sizes == []  # a single block runs in the calling thread
+    assert one_block == monte_carlo(P53, 1, TailMode.EXACTLY, 100, 5)
+    two_blocks = oracle._BLOCK_TRIALS + 1
+    threaded = monte_carlo(P53, 1, TailMode.EXACTLY, two_blocks, 5, threads=3)
+    assert sizes == [2]
+    assert threaded == monte_carlo(P53, 1, TailMode.EXACTLY, two_blocks, 5)
 
 
 def test_element_inclusion_marginals():
@@ -148,3 +170,5 @@ def test_compare_report_monte_carlo():
 def test_compare_report_method_validation():
     with pytest.raises(ValueError):
         compare_report(P53, 1, TailMode.EXACTLY, 2, method="psychic")
+    with pytest.raises(ValueError, match="threads"):
+        compare_report(P53, 1, TailMode.EXACTLY, 2, method="exhaustive", threads=0)
