@@ -17,10 +17,10 @@ import json
 import os
 import sys
 from contextlib import nullcontext
-from typing import Any, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from . import render
-from .core import Params, SizeSpec, occupancy_norm
+from .core import Params, SizeSpec, _as_index, occupancy_norm
 from .errors import BudgetExceededError, DegenerateDenominatorError
 from .inequality import (
     GridSpec,
@@ -51,10 +51,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _as_int(value: Any, label: str) -> int:
+    """A command-line string as a base-10 integer; a config value through
+    ``_as_index``, so JSON floats and bools raise ``TypeError``."""
+    if not isinstance(value, str):
+        return _as_index(value, label)
     try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise _UsageError(f"{label} expects an integer, got {value!r}")
+        return int(value, 10)
+    except ValueError:
+        raise _UsageError(f"{label} expects an integer, got {value!r}") from None
 
 
 def _as_int_list(value: Any, label: str) -> tuple[int, ...]:
@@ -72,8 +76,10 @@ def _as_int_range(value: Any, label: str) -> tuple[int, ...]:
     """Accept '3..8', '4', '1,3,5', mixes thereof, or a JSON list."""
     if isinstance(value, (list, tuple)):
         return tuple(_as_int(v, label) for v in value)
+    if not isinstance(value, str):
+        return (_as_int(value, label),)
     out: list[int] = []
-    for part in str(value).split(","):
+    for part in value.split(","):
         part = part.strip()
         if not part:
             continue
@@ -114,112 +120,6 @@ def _as_size_sets(value: Any, label: str) -> SizeSpec:
     return SizeSpec(tuple(slots))
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="occukit", description=__doc__)
-    parser.add_argument("--config", help="JSON file providing default flag values")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: _Parser) -> None:
-        p.add_argument("--format", dest="fmt", default=None,
-                       help="pretty (default) or json")
-        p.add_argument("--output", default=None, help="write to file instead of stdout")
-
-    p_norm = sub.add_parser("norm", help="normalized weight sum for one size spec")
-    p_norm.add_argument("--n", default=None)
-    p_norm.add_argument("--m", default=None, help="comma-separated draw sizes")
-    p_norm.add_argument("--p", default=None, help="fixed slot sizes, e.g. 1,1")
-    p_norm.add_argument("--bsets", default=None,
-                        help="per-slot size sets, e.g. 1-2,1-2 or 0+2,1")
-    add_common(p_norm)
-
-    p_mom = sub.add_parser("moments", help="exact raw moments, mean, variance")
-    p_mom.add_argument("--n", default=None)
-    p_mom.add_argument("--m", default=None)
-    p_mom.add_argument("--t", default=None)
-    p_mom.add_argument("--mode", default=None, help="exact or atleast")
-    p_mom.add_argument("--order", default=None, help="highest moment order (>= 2)")
-    add_common(p_mom)
-
-    p_pmf = sub.add_parser("pmf", help="exact pmf by exhaustive enumeration")
-    p_pmf.add_argument("--n", default=None)
-    p_pmf.add_argument("--m", default=None)
-    p_pmf.add_argument("--t", default=None)
-    p_pmf.add_argument("--mode", default=None)
-    p_pmf.add_argument("--budget", default=None)
-    add_common(p_pmf)
-
-    p_ineq = sub.add_parser("inequality", help="product-vs-joint norm inequality lab")
-    ineq_sub = p_ineq.add_subparsers(dest="action", required=True)
-
-    p_check = ineq_sub.add_parser("check", help="evaluate one instance")
-    p_check.add_argument("--n", default=None)
-    p_check.add_argument("--m", default=None)
-    p_check.add_argument("--p", default=None)
-    add_common(p_check)
-
-    p_search = ineq_sub.add_parser("search", help="sweep a parameter grid")
-    p_search.add_argument("--n", default=None, help="range, e.g. 3..8")
-    p_search.add_argument("--T", default=None, help="range, e.g. 1..4")
-    p_search.add_argument("--r", default=None, help="range, e.g. 2 or 2..3")
-    p_search.add_argument("--m-policy", dest="m_policy", default=None,
-                          choices=["uniform", "mixed"])
-    p_search.add_argument("--p-policy", dest="p_policy", default=None,
-                          choices=["all-equal", "proximity", "relaxed", "all"])
-    p_search.add_argument("--class", dest="class_filter", default=None,
-                          choices=["conservative", "relaxed", "unconstrained"])
-    p_search.add_argument("--include-full-m", action="store_true",
-                          help="admit draw sizes equal to n")
-    p_search.add_argument("--threads", default=None)
-    p_search.add_argument("--format", dest="fmt", default=None,
-                          help="jsonl (default) or csv")
-    p_search.add_argument("--output", default=None)
-
-    p_reduce = ineq_sub.add_parser("reduce", help="closed-form reduced checks")
-    p_reduce.add_argument("--case", default=None,
-                          choices=["p-eq-T", "p-eq-T-minus-1"])
-    p_reduce.add_argument("--n", default=None)
-    p_reduce.add_argument("--m", default=None,
-                          help="vector for p-eq-T, scalar for p-eq-T-minus-1")
-    p_reduce.add_argument("--T", default=None, help="needed for p-eq-T-minus-1")
-    add_common(p_reduce)
-
-    p_audit = ineq_sub.add_parser("audit", help="induction-step ratio audit")
-    p_audit.add_argument("--m", default=None)
-    p_audit.add_argument("--T", default=None, help="range of T values")
-    p_audit.add_argument("--n-offsets", dest="n_offsets", default=None,
-                         help="offsets above the minimal admissible n")
-    add_common(p_audit)
-
-    p_sim = sub.add_parser("simulate", help="seeded Monte Carlo moment estimates")
-    p_sim.add_argument("--n", default=None)
-    p_sim.add_argument("--m", default=None)
-    p_sim.add_argument("--t", default=None)
-    p_sim.add_argument("--mode", default=None)
-    p_sim.add_argument("--trials", default=None)
-    p_sim.add_argument("--seed", default=None)
-    p_sim.add_argument("--max-order", dest="max_order", default=None)
-    p_sim.add_argument("--threads", default=None)
-    p_sim.add_argument("--format", dest="fmt", default=None,
-                       help="pretty (default), json, or csv")
-    p_sim.add_argument("--output", default=None)
-
-    p_cmp = sub.add_parser("compare", help="moment formulas vs. oracle")
-    p_cmp.add_argument("--n", default=None)
-    p_cmp.add_argument("--m", default=None)
-    p_cmp.add_argument("--t", default=None)
-    p_cmp.add_argument("--mode", default=None)
-    p_cmp.add_argument("--max-order", dest="max_order", default=None)
-    p_cmp.add_argument("--method", default=None,
-                       choices=["auto", "exhaustive", "monte-carlo"])
-    p_cmp.add_argument("--trials", default=None)
-    p_cmp.add_argument("--seed", default=None)
-    p_cmp.add_argument("--budget", default=None)
-    p_cmp.add_argument("--threads", default=None)
-    add_common(p_cmp)
-
-    return parser
-
-
 def _merge_config(args: argparse.Namespace) -> None:
     if not getattr(args, "config", None):
         return
@@ -227,8 +127,11 @@ def _merge_config(args: argparse.Namespace) -> None:
         values = json.load(fh)
     if not isinstance(values, dict):
         raise _UsageError("config file must contain a JSON object")
+    dests = _config_dests()
     for key, value in values.items():
-        attr = key.replace("-", "_")
+        if key not in dests:
+            raise _UsageError(f"unknown config key {key!r}")
+        attr = dests[key]
         if hasattr(args, attr) and getattr(args, attr) is None:
             setattr(args, attr, value)
 
@@ -240,37 +143,45 @@ def _require(args: argparse.Namespace, name: str) -> Any:
     return value
 
 
+def _arg(
+    args: argparse.Namespace, name: str, parse: Callable[[Any, str], Any] = _as_int,
+    default: Any = None,
+) -> Any:
+    """Flag ``name`` read by ``parse``; required unless a default is given."""
+    if default is not None and getattr(args, name, None) is None:
+        return default
+    return parse(_require(args, name), "--" + name.replace("_", "-"))
+
+
 def _build_params(args: argparse.Namespace) -> Params:
-    n = _as_int(_require(args, "n"), "--n")
-    m = _as_int_list(_require(args, "m"), "--m")
-    try:
-        return Params(n, m)
-    except ValueError as exc:
-        raise _UsageError(str(exc))
+    return Params(_arg(args, "n"), _arg(args, "m", _as_int_list))
 
 
 def _tail_mode(args: argparse.Namespace) -> TailMode:
-    raw = _require(args, "mode")
-    try:
-        return TailMode.from_string(str(raw))
-    except ValueError as exc:
-        raise _UsageError(str(exc))
+    return TailMode.from_string(str(_require(args, "mode")))
 
 
 def _default_budget(args: argparse.Namespace) -> int:
-    if getattr(args, "budget", None) is not None:
-        return _as_int(args.budget, "--budget")
     env = os.environ.get("OCCUKIT_BUDGET")
-    if env is not None:
+    if getattr(args, "budget", None) is None and env is not None:
         return _as_int(env, "OCCUKIT_BUDGET")
-    return DEFAULT_BUDGET
+    return _arg(args, "budget", default=DEFAULT_BUDGET)
 
 
-def _emit(args: argparse.Namespace, pretty: str, payload: dict[str, Any]) -> None:
+def _emit(
+    args: argparse.Namespace, pretty: str, payload: dict[str, Any],
+    csv_text: str | None = None,
+) -> None:
+    """Write the pretty, JSON or (where given) CSV form named by --format."""
     fmt = getattr(args, "fmt", None) or "pretty"
-    if fmt not in ("pretty", "json"):
+    if fmt == "pretty":
+        text = pretty
+    elif fmt == "json":
+        text = json.dumps(payload, indent=2)
+    elif fmt == "csv" and csv_text is not None:
+        text = csv_text
+    else:
         raise _UsageError(f"unknown format {fmt!r}; expected pretty or json")
-    text = pretty if fmt == "pretty" else json.dumps(payload, indent=2)
     output = getattr(args, "output", None)
     if output:
         with open(output, "w", encoding="utf-8") as fh:
@@ -304,8 +215,8 @@ def _cmd_norm(args: argparse.Namespace) -> int:
 def _cmd_moments(args: argparse.Namespace) -> int:
     params = _build_params(args)
     mode = _tail_mode(args)
-    t = _as_int(_require(args, "t"), "--t")
-    order = _as_int(args.order, "--order") if args.order is not None else 2
+    t = _arg(args, "t")
+    order = _arg(args, "order", default=2)
     report = moment_report(params, t, mode, max_order=order)
     lines = [
         f"mean      {report.mean} ~= {render.approx_str(report.mean)}",
@@ -321,7 +232,7 @@ def _cmd_moments(args: argparse.Namespace) -> int:
 def _cmd_pmf(args: argparse.Namespace) -> int:
     params = _build_params(args)
     mode = _tail_mode(args)
-    t = _as_int(_require(args, "t"), "--t")
+    t = _arg(args, "t")
     pmf = exhaustive_pmf(params, t, mode, budget=_default_budget(args))
     lines = [
         f"P(x={x}) = {q}" for x, q in sorted(pmf.probabilities.items())
@@ -332,7 +243,7 @@ def _cmd_pmf(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     params = _build_params(args)
-    p = _as_int_list(_require(args, "p"), "--p")
+    p = _arg(args, "p", _as_int_list)
     verdict = check_inequality(params, p)
     pretty = (
         f"class   {verdict.proximity.value}\n"
@@ -347,17 +258,16 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_search(args: argparse.Namespace) -> int:
     grid = GridSpec(
-        n_values=_as_int_range(_require(args, "n"), "--n"),
-        T_values=_as_int_range(_require(args, "T"), "--T"),
-        r_values=_as_int_range(_require(args, "r"), "--r"),
+        n_values=_arg(args, "n", _as_int_range),
+        T_values=_arg(args, "T", _as_int_range),
+        r_values=_arg(args, "r", _as_int_range),
         m_policy=args.m_policy or "mixed",
         p_policy=args.p_policy or "proximity",
         include_full_m=bool(args.include_full_m),
     )
     class_filter = ProximityClass.from_string(args.class_filter or "unconstrained")
-    threads = _as_int(args.threads, "--threads") if args.threads is not None else 1
-    if threads < 1:
-        raise _UsageError(f"--threads must be at least 1, got {threads}")
+    # grid_search checks threads at the call, before anything is written.
+    verdicts = grid_search(grid, class_filter, threads=_arg(args, "threads", default=1))
     fmt = getattr(args, "fmt", None) or "jsonl"
     if fmt not in ("jsonl", "csv"):
         raise _UsageError(f"unknown sweep format {fmt!r}; expected jsonl or csv")
@@ -369,11 +279,11 @@ def _cmd_search(args: argparse.Namespace) -> int:
         if fmt == "csv":
             writer = csv.writer(sink)
             writer.writerow(render.VERDICT_CSV_COLUMNS)
-            for verdict in grid_search(grid, class_filter, threads=threads):
+            for verdict in verdicts:
                 summary.add(verdict)
                 writer.writerow(render.verdict_csv_row(verdict))
         else:
-            for verdict in grid_search(grid, class_filter, threads=threads):
+            for verdict in verdicts:
                 summary.add(verdict)
                 sink.write(json.dumps(render.verdict_json_dict(verdict)) + "\n")
         summary_obj = render.summary_json_dict(summary)
@@ -391,9 +301,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
         result = full_size_reduction(params)
         label = f"p = T = {params.T} on n={params.n}, m={list(params.m)}"
     elif case == "p-eq-T-minus-1":
-        n = _as_int(_require(args, "n"), "--n")
-        m = _as_int(_require(args, "m"), "--m")
-        T = _as_int(_require(args, "T"), "--T")
+        n, m, T = _arg(args, "n"), _arg(args, "m"), _arg(args, "T")
         result = near_full_size_reduction(n, m, T)
         label = f"p = T-1 = {T - 1} on n={n}, uniform m={m}"
     else:
@@ -407,14 +315,11 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
-    m = _as_int(_require(args, "m"), "--m")
-    T_values = _as_int_range(_require(args, "T"), "--T")
-    offsets = (
-        _as_int_range(args.n_offsets, "--n-offsets")
-        if args.n_offsets is not None
-        else (0, 1, 2, 5, 10)
+    audit = audit_induction_step(
+        _arg(args, "m"),
+        _arg(args, "T", _as_int_range),
+        _arg(args, "n_offsets", _as_int_range, default=(0, 1, 2, 5, 10)),
     )
-    audit = audit_induction_step(m, T_values, offsets)
     lines = [
         f"T={row.T:<3} n={row.n:<4} lhs={row.lhs_ratio} rhs={row.rhs_ratio} "
         f"ok={row.ok}"
@@ -431,49 +336,30 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     params = _build_params(args)
     mode = _tail_mode(args)
-    t = _as_int(_require(args, "t"), "--t")
-    trials = _as_int(_require(args, "trials"), "--trials")
-    seed = _as_int(args.seed, "--seed") if args.seed is not None else 0
-    threads = _as_int(args.threads, "--threads") if args.threads is not None else 1
-    max_order = (
-        _as_int(args.max_order, "--max-order") if args.max_order is not None else 4
-    )
+    t = _arg(args, "t")
+    trials = _arg(args, "trials")
+    seed = _arg(args, "seed", default=0)
+    threads = _arg(args, "threads", default=1)
+    max_order = _arg(args, "max_order", default=4)
     result = monte_carlo(
         params, t, mode, trials, seed, max_order=max_order, threads=threads
     )
-    if (getattr(args, "fmt", None) or "pretty") == "csv":
-        rows = [("order", "estimate", "stderr")]
-        rows.extend(
-            (str(v), repr(est), repr(se))
-            for v, (est, se) in enumerate(
-                zip(result.raw_moment_estimates, result.standard_errors), start=1
-            )
-        )
-        text = "\n".join(",".join(row) for row in rows)
-        output = getattr(args, "output", None)
-        if output:
-            with open(output, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-        else:
-            print(text)
-        return EXIT_OK
-    lines = [
-        f"E(x^{v}) ~ {est:.10g}  (stderr {se:.4g})"
-        for v, (est, se) in enumerate(
-            zip(result.raw_moment_estimates, result.standard_errors), start=1
-        )
-    ]
-    _emit(args, "\n".join(lines), render.empirical_json_dict(result))
+    rows = list(enumerate(
+        zip(result.raw_moment_estimates, result.standard_errors), start=1
+    ))
+    lines = [f"E(x^{v}) ~ {est:.10g}  (stderr {se:.4g})" for v, (est, se) in rows]
+    csv_lines = ["order,estimate,stderr"]
+    csv_lines.extend(f"{v},{est!r},{se!r}" for v, (est, se) in rows)
+    _emit(args, "\n".join(lines), render.empirical_json_dict(result),
+          csv_text="\n".join(csv_lines))
     return EXIT_OK
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     params = _build_params(args)
     mode = _tail_mode(args)
-    t = _as_int(_require(args, "t"), "--t")
-    max_order = (
-        _as_int(args.max_order, "--max-order") if args.max_order is not None else 3
-    )
+    t = _arg(args, "t")
+    max_order = _arg(args, "max_order", default=3)
     report = compare_report(
         params,
         t,
@@ -481,9 +367,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         max_order,
         method=args.method or "auto",
         budget=_default_budget(args),
-        trials=_as_int(args.trials, "--trials") if args.trials is not None else 1_000_000,
-        seed=_as_int(args.seed, "--seed") if args.seed is not None else 0,
-        threads=_as_int(args.threads, "--threads") if args.threads is not None else 1,
+        trials=_arg(args, "trials", default=1_000_000),
+        seed=_arg(args, "seed", default=0),
+        threads=_arg(args, "threads", default=1),
     )
     lines = [f"method: {report.method}"]
     for row in report.rows:
@@ -501,42 +387,101 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# argparse settings of a flag beyond its name and help text.
+_FLAG_SETTINGS: dict[str, dict[str, Any]] = {
+    "--format": {"dest": "fmt"},
+    "--class": {"dest": "class_filter",
+                "choices": ["conservative", "relaxed", "unconstrained"]},
+    "--m-policy": {"choices": ["uniform", "mixed"]},
+    "--p-policy": {"choices": ["all-equal", "proximity", "relaxed", "all"]},
+    "--include-full-m": {"action": "store_true"},
+    "--case": {"choices": ["p-eq-T", "p-eq-T-minus-1"]},
+    "--method": {"choices": ["auto", "exhaustive", "monte-carlo"]},
+}
+
+_COMMON = (("--format", "pretty (default) or json"),
+           ("--output", "write to file instead of stdout"))
+
+# (command path, help, handler, flags in --help order). A flag is its name
+# or (name, help); a command without a handler holds subcommands.
+_COMMANDS: tuple[tuple[str, str, Callable | None, tuple], ...] = (
+    ("norm", "normalized weight sum for one size spec", _cmd_norm,
+     ("--n", ("--m", "comma-separated draw sizes"),
+      ("--p", "fixed slot sizes, e.g. 1,1"),
+      ("--bsets", "per-slot size sets, e.g. 1-2,1-2 or 0+2,1"), *_COMMON)),
+    ("moments", "exact raw moments, mean, variance", _cmd_moments,
+     ("--n", "--m", "--t", ("--mode", "exact or atleast"),
+      ("--order", "highest moment order (>= 2)"), *_COMMON)),
+    ("pmf", "exact pmf by exhaustive enumeration", _cmd_pmf,
+     ("--n", "--m", "--t", "--mode", "--budget", *_COMMON)),
+    ("inequality", "product-vs-joint norm inequality lab", None, ()),
+    ("inequality check", "evaluate one instance", _cmd_check,
+     ("--n", "--m", "--p", *_COMMON)),
+    ("inequality search", "sweep a parameter grid", _cmd_search,
+     (("--n", "range, e.g. 3..8"), ("--T", "range, e.g. 1..4"),
+      ("--r", "range, e.g. 2 or 2..3"), "--m-policy", "--p-policy", "--class",
+      ("--include-full-m", "admit draw sizes equal to n"), "--threads",
+      ("--format", "jsonl (default) or csv"), "--output")),
+    ("inequality reduce", "closed-form reduced checks", _cmd_reduce,
+     ("--case", "--n", ("--m", "vector for p-eq-T, scalar for p-eq-T-minus-1"),
+      ("--T", "needed for p-eq-T-minus-1"), *_COMMON)),
+    ("inequality audit", "induction-step ratio audit", _cmd_audit,
+     ("--m", ("--T", "range of T values"),
+      ("--n-offsets", "offsets above the minimal admissible n"), *_COMMON)),
+    ("simulate", "seeded Monte Carlo moment estimates", _cmd_simulate,
+     ("--n", "--m", "--t", "--mode", "--trials", "--seed", "--max-order",
+      "--threads", ("--format", "pretty (default), json, or csv"), "--output")),
+    ("compare", "moment formulas vs. oracle", _cmd_compare,
+     ("--n", "--m", "--t", "--mode", "--max-order", "--method", "--trials",
+      "--seed", "--budget", "--threads", *_COMMON)),
+)
+
+
+def _flags(flags: tuple) -> Iterator[tuple[str, str | None, dict[str, Any]]]:
+    """(name, help, argparse settings) of each flag in a table row."""
+    for flag in flags:
+        name, help_text = (flag, None) if isinstance(flag, str) else flag
+        yield name, help_text, _FLAG_SETTINGS.get(name, {})
+
+
+def _build_parser() -> _Parser:
+    parser = _Parser(prog="occukit", description=__doc__)
+    parser.add_argument("--config", help="JSON file providing default flag values")
+    groups = {"": parser.add_subparsers(dest="command", required=True)}
+    for path, help_text, handler, flags in _COMMANDS:
+        parent, _, name = path.rpartition(" ")
+        sub = groups[parent].add_parser(name, help=help_text)
+        if handler is None:
+            groups[path] = sub.add_subparsers(dest="action", required=True)
+        else:
+            sub.set_defaults(handler=handler)
+        for flag, flag_help, settings in _flags(flags):
+            sub.add_argument(flag, help=flag_help, **settings)
+    return parser
+
+
+def _config_dests() -> dict[str, str]:
+    """Each value flag's name, in hyphen and underscore form, to its dest."""
+    dests = {}
+    for *_, flags in _COMMANDS:
+        for flag, _, settings in _flags(flags):
+            if "action" not in settings:
+                key = flag[2:]
+                dest = settings.get("dest", key.replace("-", "_"))
+                dests[key] = dests[key.replace("-", "_")] = dest
+    return dests
+
+
 def _run(argv: Sequence[str] | None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     _merge_config(args)
-    command = args.command
-    if command == "norm":
-        return _cmd_norm(args)
-    if command == "moments":
-        return _cmd_moments(args)
-    if command == "pmf":
-        return _cmd_pmf(args)
-    if command == "inequality":
-        action = args.action
-        if action == "check":
-            return _cmd_check(args)
-        if action == "search":
-            return _cmd_search(args)
-        if action == "reduce":
-            return _cmd_reduce(args)
-        if action == "audit":
-            return _cmd_audit(args)
-        raise _UsageError(f"unknown inequality action {action!r}")
-    if command == "simulate":
-        return _cmd_simulate(args)
-    if command == "compare":
-        return _cmd_compare(args)
-    raise _UsageError(f"unknown command {command!r}")
+    return args.handler(args)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         return _run(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (_UsageError, ValueError, TypeError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DegenerateDenominatorError as exc:

@@ -188,7 +188,7 @@ class SizeSpec:
 
 
 def _validate_pattern(params: Params, pattern: Iterable[int]) -> frozenset[int]:
-    out = frozenset(int(i) for i in pattern)
+    out = frozenset([_as_index(i, "draw index") for i in pattern])
     for i in out:
         if not 1 <= i <= params.T:
             raise ValueError(f"draw index {i} outside [1, {params.T}]")

@@ -38,7 +38,9 @@ from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .combinat import falling_factorial, iter_k_subsets
-from .core import Params, SizeSpec, occupancy_norm, pattern_weight, weight_sum_table
+from .core import (
+    Params, SizeSpec, _as_index, occupancy_norm, pattern_weight, weight_sum_table,
+)
 
 
 class ProximityClass(enum.Enum):
@@ -91,7 +93,7 @@ class InequalityVerdict(NamedTuple):
 def check_inequality(params: Params, p: Sequence[int]) -> InequalityVerdict:
     """Evaluate both sides exactly on one instance. Reports, never asserts:
     a negative margin comes back as a verdict with ``holds=False``."""
-    p = tuple(int(v) for v in p)
+    p = tuple([_as_index(v, "slot size") for v in p])
     for v in p:
         if not 0 <= v <= params.T:
             raise ValueError(f"slot size {v} out of range [0, {params.T}]")
@@ -116,7 +118,7 @@ def factorization_identity_check(params: Params, p: Sequence[int]) -> bool:
     ``sum g / n^(T-1)``. Exact equality is the algebraic identity that lets
     the inequality be stated purely in norms.
     """
-    p = tuple(int(v) for v in p)
+    p = tuple([_as_index(v, "slot size") for v in p])
     for v in p:
         if not 0 <= v <= params.T:
             raise ValueError(f"slot size {v} out of range [0, {params.T}]")
@@ -166,9 +168,9 @@ class GridSpec:
     include_full_m: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n_values", tuple(int(v) for v in self.n_values))
-        object.__setattr__(self, "T_values", tuple(int(v) for v in self.T_values))
-        object.__setattr__(self, "r_values", tuple(int(v) for v in self.r_values))
+        for name in ("n_values", "T_values", "r_values"):
+            values = tuple([_as_index(v, name) for v in getattr(self, name)])
+            object.__setattr__(self, name, values)
         if not (self.n_values and self.T_values and self.r_values):
             raise ValueError("grid ranges must be non-empty")
         if min(self.n_values) < 1 or min(self.T_values) < 1 or min(self.r_values) < 1:
@@ -321,12 +323,8 @@ def _block_verdicts(grid: GridSpec, block: tuple) -> Iterator[InequalityVerdict]
 def _verdicts(
     grid: GridSpec, class_filter: ProximityClass
 ) -> Iterator[InequalityVerdict]:
-    emitted = False
     for block in _blocks(grid, class_filter):
-        emitted = True
         yield from _block_verdicts(grid, block)
-    if not emitted:
-        raise ValueError("grid produced no points (empty sweep)")
 
 
 class _GridSweep:
@@ -398,8 +396,6 @@ class _GridSweep:
                         summary.first_violations.append(verdict)
                         if len(summary.first_violations) == 10:
                             break
-        if summary.total == 0:
-            raise ValueError("grid produced no points (empty sweep)")
         summary.holds_count = summary.total - summary.violation_count
         return summary
 
@@ -618,10 +614,11 @@ def audit_induction_step(
     rows: list[InductionRow] = []
     lhs_monotone = True
     rhs_monotone = True
-    extras = tuple(int(v) for v in extra_n)
-    for T in sorted(set(int(v) for v in T_values)):
+    extras = {_as_index(v, "extra n") for v in extra_n}
+    offsets = [_as_index(v, "n offset") for v in n_offsets]
+    for T in sorted({_as_index(v, "T") for v in T_values}):
         base = minimal_admissible_n(m, T)
-        ns = sorted({base + int(off) for off in n_offsets} | set(extras))
+        ns = sorted({base + off for off in offsets} | extras)
         if any(v < base for v in ns):
             raise ValueError(
                 f"sampled n below the minimal admissible {base} for T={T}"

@@ -316,6 +316,8 @@ def compare_report(
         raise ValueError(f"unknown comparison method {method!r}")
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
+    if max_order < 1:
+        raise ValueError(f"max_order must be >= 1, got {max_order}")
     if method == "auto":
         method = (
             "exhaustive"

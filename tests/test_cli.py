@@ -3,6 +3,8 @@ import io
 import json
 from fractions import Fraction
 
+import pytest
+
 from occukit.cli import main
 from occukit.core import Params
 from occukit.inequality import check_inequality
@@ -283,3 +285,60 @@ def test_output_file_option(tmp_path, capsys):
     capsys.readouterr()
     payload = json.loads(target.read_text())
     assert payload["value"]["num"] == "28"
+
+
+def test_compare_rejects_max_order_below_one(capsys):
+    assert main(["compare", "--n", "5", "--m", "2,3", "--t", "1", "--mode",
+                 "exact", "--max-order", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "max_order" in captured.err
+
+
+@pytest.mark.parametrize(
+    "values, argv",
+    [
+        ({"n": 5.9, "m": [2, 3]}, ["moments", "--t", "1", "--mode", "exact"]),
+        ({"n": 5, "m": [2.7, 3]}, ["moments", "--t", "1", "--mode", "exact"]),
+        ({"n": 5, "m": [2, 3], "t": True}, ["moments", "--mode", "exact"]),
+        ({"n": 3, "T": [1.5], "r": 2}, ["inequality", "search"]),
+        ({"n": 3, "T": 1, "r": [True]}, ["inequality", "search"]),
+        ({"n": 5, "m": 2, "bsets": [[1.5]]}, ["norm"]),
+    ],
+)
+def test_config_rejects_non_integer_values(capsys, tmp_path, values, argv):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(values))
+    assert main(["--config", str(config), *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error:") and "Traceback" not in captured.err
+
+
+def test_config_keys_are_flag_names(capsys, tmp_path):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"n": 5, "m": [2, 3], "p": [1, 1], "format": "json"}))
+    code, payload = _run_json(capsys, ["--config", str(config), "norm"])
+    assert code == 0
+    assert fraction_from_json(payload["value"]) == Fraction(28, 5)
+    # "class" reaches --class: only conservative points are streamed
+    config.write_text(json.dumps({"class": "conservative", "p-policy": "all"}))
+    assert main(["--config", str(config), "inequality", "search",
+                 "--n", "3", "--T", "2", "--r", "2"]) == 0
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert lines[-1]["by_class"] == {"conservative": len(lines) - 1}
+
+
+def test_config_key_of_another_command_is_ignored(capsys, tmp_path):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"trials": 5, "n_offsets": "0", "p": "1,1"}))
+    assert main(["--config", str(config), "norm", "--n", "5", "--m", "2,3"]) == 0
+    assert capsys.readouterr().out.strip() == "28/5 ~= 5.6"
+
+
+@pytest.mark.parametrize("key", ["nn", "fmt", "include-full-m"])
+def test_config_rejects_unknown_keys(capsys, tmp_path, key):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"n": 5, "m": [2, 3], "p": [1, 1], key: 7}))
+    assert main(["--config", str(config), "norm"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"unknown config key {key!r}" in captured.err

@@ -130,6 +130,8 @@ def test_pattern_weight_values():
 def test_pattern_weight_rejects_foreign_index():
     with pytest.raises(ValueError):
         pattern_weight(P53, {3})
+    with pytest.raises(TypeError):
+        pattern_weight(P53, [1.5])
 
 
 def test_membership_counts():

@@ -194,6 +194,26 @@ def test_grid_spec_validation():
         GridSpec(n_values=(1,), T_values=(1,), r_values=(1,))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: GridSpec((3.9,), (2,), (1,)),
+        lambda: GridSpec((3,), (2.5,), (1,)),
+        lambda: GridSpec((3,), (2,), (True,)),
+        lambda: check_inequality(Params(5, (2, 3)), (1.9, 1)),
+        lambda: check_inequality(Params(5, (2, 3)), (1, True)),
+        lambda: factorization_identity_check(Params(5, (2, 3)), (1.0, 1)),
+        lambda: audit_induction_step(3, (2.7,)),
+        lambda: audit_induction_step(3, (2,), (0.5,)),
+        lambda: audit_induction_step(3, (2,), (0,), extra_n=(13.0,)),
+    ],
+)
+def test_entry_points_reject_non_integers(call):
+    # A truncated 5.9 would give a different, valid-looking exact answer.
+    with pytest.raises(TypeError):
+        call()
+
+
 def _summary_fields(s):
     return (
         s.total, s.holds_count, s.violation_count,

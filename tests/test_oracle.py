@@ -172,3 +172,6 @@ def test_compare_report_method_validation():
         compare_report(P53, 1, TailMode.EXACTLY, 2, method="psychic")
     with pytest.raises(ValueError, match="threads"):
         compare_report(P53, 1, TailMode.EXACTLY, 2, method="exhaustive", threads=0)
+    # order 0 would compare nothing and report every row equal
+    with pytest.raises(ValueError, match="max_order"):
+        compare_report(P53, 1, TailMode.EXACTLY, 0, method="exhaustive")
