@@ -132,6 +132,8 @@ def _merge_config(args: argparse.Namespace) -> None:
         if key not in dests:
             raise _UsageError(f"unknown config key {key!r}")
         attr = dests[key]
+        if attr == "output" and not isinstance(value, str):
+            raise _UsageError(f"config key 'output' must be a path, got {value!r}")
         if hasattr(args, attr) and getattr(args, attr) is None:
             setattr(args, attr, value)
 
@@ -481,7 +483,7 @@ def _run(argv: Sequence[str] | None) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         return _run(argv)
-    except (_UsageError, ValueError, TypeError) as exc:
+    except (_UsageError, ValueError, TypeError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DegenerateDenominatorError as exc:

@@ -6,15 +6,24 @@ they validate:
 * :func:`exhaustive_pmf` enumerates every possible T-tuple of draws (uniform
   product measure) and tallies occupancy counts into an exact rational pmf.
   Feasible only while ``prod C(n, m_i)`` stays within a budget.
-* :func:`monte_carlo` samples draw tuples with a counter-based RNG and
-  reports moment estimates with standard errors. Randomness for a trial is a
-  pure function of ``(seed, trial index)``: trials are processed in
+* :func:`monte_carlo` samples the coverage histogram with a counter-based RNG
+  and reports moment estimates with standard errors. Randomness for a trial
+  is a pure function of ``(seed, trial index)``: trials are processed in
   fixed-size blocks, each owning a disjoint Philox counter range, so results
   are bit-identical no matter how many workers run the blocks.
 
-Subset draws use a partial Fisher-Yates shuffle (first ``m_i`` positions of
-an index array), vectorised across a block; integer picks go through the
-generator's exact bounded sampler, so every subset is uniform.
+The sampler walks the classical occupancy chain (Charalambides,
+*Combinatorial Methods in Discrete Distributions*, 2005) rather than the
+draws themselves: a trial's state is the histogram ``h[0..T]`` of how many
+elements are covered ``c`` times, and a uniform ``m_i``-subset takes ``k_c``
+elements from class ``c`` with multivariate hypergeometric law, drawn as one
+hypergeometric per class. Only the counts are kept, so the state of a block
+of trials costs O(block * T) memory whatever ``n`` is; the occupancy tally
+alone has ``n + 1`` entries.
+
+:data:`STREAM_VERSION` names the sampler's seeded stream. It changes whenever
+the estimates for a given ``(instance, seed, trials)`` change: version 1 was
+a partial Fisher-Yates shuffle per draw, version 2 is the histogram chain.
 """
 
 from __future__ import annotations
@@ -37,8 +46,12 @@ from .moments import TailMode, raw_moment, threshold_sizes
 
 DEFAULT_BUDGET = 10_000_000
 
+STREAM_VERSION = 2
+
 _BLOCK_TRIALS = 1 << 15
 _MASK64 = (1 << 64) - 1
+# numpy's hypergeometric sampler needs every class size below this.
+_MAX_CLASS_SIZE = 10**9
 
 
 def exhaustive_outcome_count(params: Params) -> int:
@@ -131,39 +144,33 @@ def _block_generator(seed: int, block_index: int) -> Generator:
     return Generator(Philox(counter=counter, key=key))
 
 
-def _block_selections(params: Params, gen: Generator, size: int) -> list[np.ndarray]:
-    """Partial Fisher-Yates per trial row, vectorised over a block.
-
-    Returns, per draw, a ``(size, m_i)`` array of selected element indices.
-    """
-    n = params.n
-    rows = np.arange(size)
-    out = []
-    for m_i in params.m:
-        perm = np.tile(np.arange(n, dtype=np.int32), (size, 1))
-        for j in range(m_i):
-            idx = gen.integers(j, n, size=size)
-            front = perm[rows, j].copy()
-            perm[rows, j] = perm[rows, idx]
-            perm[rows, idx] = front
-        out.append(perm[:, :m_i])
-    return out
-
-
 def _block_histogram(
     params: Params, t: int, mode: TailMode, seed: int, block_index: int, size: int
 ) -> np.ndarray:
+    """Occupancy tally of one block, sampled along the coverage-histogram chain.
+
+    ``h[c]`` holds, per trial, the number of elements covered ``c`` times.
+    After draws ``0..i-1`` only classes ``0..i`` are occupied; draw ``i``
+    visits them in order, taking ``k_c`` of its ``left`` remaining picks from
+    class ``c`` against the ``rest`` elements of the classes after it, and
+    the last class takes what remains. Each picked element moves up a class.
+    """
     gen = _block_generator(seed, block_index)
-    n = params.n
-    counts = np.zeros((size, n), dtype=np.int16)
-    rows_col = np.arange(size)[:, None]
-    for sel in _block_selections(params, gen, size):
-        counts[rows_col, sel] += 1
-    if mode is TailMode.EXACTLY:
-        x = (counts == t).sum(axis=1)
-    else:
-        x = (counts >= t).sum(axis=1)
-    return np.bincount(x, minlength=n + 1)
+    h = np.zeros((params.T + 1, size), dtype=np.int64)
+    h[0] = params.n
+    for i, m_i in enumerate(params.m):
+        k = np.empty((i + 1, size), dtype=np.int64)
+        left = np.full(size, m_i, dtype=np.int64)
+        rest = np.full(size, params.n, dtype=np.int64)
+        for c in range(i):
+            rest -= h[c]
+            k[c] = gen.hypergeometric(h[c], rest, left)
+            left -= k[c]
+        k[i] = left
+        h[: i + 1] -= k
+        h[1 : i + 2] += k
+    x = h[t] if mode is TailMode.EXACTLY else h[t:].sum(axis=0)
+    return np.bincount(x, minlength=params.n + 1)
 
 
 def _blocks(trials: int) -> list[tuple[int, int]]:
@@ -209,6 +216,10 @@ def monte_carlo(
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     threshold_sizes(params.T, t, mode)
+    if params.n >= _MAX_CLASS_SIZE:
+        raise ValueError(
+            f"monte_carlo needs n < {_MAX_CLASS_SIZE}, got n={params.n}"
+        )
     blocks = _blocks(trials)
     workers = min(threads, len(blocks))
 
@@ -248,24 +259,6 @@ def monte_carlo(
         standard_errors=tuple(errors),
         occupancy_histogram=counts,
     )
-
-
-def element_inclusion_counts(
-    params: Params, trials: int, seed: int
-) -> list[list[int]]:
-    """Per (draw, element) tallies of how often each element was selected.
-
-    Diagnostic for the sampler's marginals: every tally divided by ``trials``
-    should sit near ``m_i / n``.
-    """
-    if trials < 1:
-        raise ValueError(f"need at least one trial, got {trials}")
-    acc = np.zeros((params.T, params.n), dtype=np.int64)
-    for index, size in _blocks(trials):
-        gen = _block_generator(seed, index)
-        for d, sel in enumerate(_block_selections(params, gen, size)):
-            acc[d] += np.bincount(sel.ravel(), minlength=params.n)
-    return [[int(c) for c in row] for row in acc]
 
 
 class ComparisonRow(NamedTuple):

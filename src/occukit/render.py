@@ -14,7 +14,7 @@ from typing import Any, Mapping
 
 from .inequality import InductionAudit, InequalityVerdict, ReducedCheck, SweepSummary
 from .moments import MomentReport
-from .oracle import ComparisonReport, EmpiricalMoments, ExactPmf
+from .oracle import STREAM_VERSION, ComparisonReport, EmpiricalMoments, ExactPmf
 
 
 def approx_float(q: Fraction) -> float:
@@ -133,6 +133,7 @@ def empirical_json_dict(e: EmpiricalMoments) -> dict[str, Any]:
     return {
         "trials": e.trials,
         "seed": e.seed,
+        "stream_version": STREAM_VERSION,
         "estimates": [
             {"order": v, "value": est, "stderr": se}
             for v, (est, se) in enumerate(
@@ -169,6 +170,7 @@ def comparison_json_dict(c: ComparisonReport) -> dict[str, Any]:
     if c.trials is not None:
         out["trials"] = c.trials
         out["seed"] = c.seed
+        out["stream_version"] = STREAM_VERSION
     return out
 
 

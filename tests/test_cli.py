@@ -287,6 +287,29 @@ def test_output_file_option(tmp_path, capsys):
     assert payload["value"]["num"] == "28"
 
 
+def test_unopenable_files_are_usage_errors(capsys, tmp_path):
+    missing = tmp_path / "missing"
+    assert main(["--config", str(missing / "run.json"), "norm", "--n", "5",
+                 "--m", "2,3", "--p", "1,1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage error:")
+    assert main(["norm", "--n", "5", "--m", "2,3", "--p", "1,1",
+                 "--output", str(missing / "norm.txt")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage error:")
+    assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("output", [7, 1, None, ["x"]])
+def test_config_output_must_be_a_string(capsys, tmp_path, output):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"output": output}))
+    assert main(["--config", str(config), "norm", "--n", "5", "--m", "2,3",
+                 "--p", "1,1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "'output' must be a path" in captured.err
+
+
 def test_compare_rejects_max_order_below_one(capsys):
     assert main(["compare", "--n", "5", "--m", "2,3", "--t", "1", "--mode",
                  "exact", "--max-order", "0"]) == 1

@@ -9,7 +9,6 @@ from occukit.errors import BudgetExceededError
 from occukit.moments import TailMode, raw_moment
 from occukit.oracle import (
     compare_report,
-    element_inclusion_counts,
     exhaustive_outcome_count,
     exhaustive_pmf,
     monte_carlo,
@@ -135,14 +134,31 @@ def test_monte_carlo_thread_pool_capped_at_block_count(monkeypatch):
     assert threaded == monte_carlo(P53, 1, TailMode.EXACTLY, two_blocks, 5)
 
 
-def test_element_inclusion_marginals():
-    # 1e5 trials of a single size-4 draw from 10 elements: every inclusion
-    # frequency must sit within 5 standard errors of 4/10.
-    trials = 100_000
-    counts = element_inclusion_counts(Params(10, (4,)), trials, 2024)
-    stderr = math.sqrt(0.4 * 0.6 / trials)
-    for c in counts[0]:
-        assert abs(c / trials - 0.4) <= 5 * stderr
+@pytest.mark.parametrize(
+    "params",
+    [Params(6, (2, 3, 5, 1)), Params(8, (3, 4, 4)), Params(7, (7, 2)), Params(4, (2,))],
+    ids=str,
+)
+def test_monte_carlo_histogram_matches_exact_pmf(params):
+    # Every occupancy value's trial count must sit within 5 binomial standard
+    # errors of its exact probability, and values of probability 0 never occur.
+    trials, seed = 200_000, 61
+    for t in range(1, params.T + 1):
+        for mode in TailMode:
+            exact = exhaustive_pmf(params, t, mode).probabilities
+            hist = monte_carlo(params, t, mode, trials, seed).occupancy_histogram
+            for x, count in enumerate(hist):
+                p = exact.get(x, Fraction(0))
+                if p in (0, 1):
+                    assert count == p * trials, (t, mode, x)
+                    continue
+                z = (count - trials * p) / math.sqrt(trials * p * (1 - p))
+                assert abs(z) <= 5, (t, mode, x, float(z))
+
+
+def test_monte_carlo_rejects_n_beyond_sampler_range():
+    with pytest.raises(ValueError, match="n < 1000000000"):
+        monte_carlo(Params(10**9, (1,)), 1, TailMode.EXACTLY, 1, 0)
 
 
 def test_compare_report_exhaustive():
