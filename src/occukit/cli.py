@@ -17,6 +17,7 @@ import json
 import os
 import sys
 from contextlib import nullcontext
+from functools import lru_cache
 from typing import Any, Callable, Iterator, Sequence
 
 from . import render
@@ -268,8 +269,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         include_full_m=bool(args.include_full_m),
     )
     class_filter = ProximityClass.from_string(args.class_filter or "unconstrained")
-    # grid_search checks threads at the call, before anything is written.
-    verdicts = grid_search(grid, class_filter, threads=_arg(args, "threads", default=1))
+    verdicts = grid_search(grid, class_filter)
     fmt = getattr(args, "fmt", None) or "jsonl"
     if fmt not in ("jsonl", "csv"):
         raise _UsageError(f"unknown sweep format {fmt!r}; expected jsonl or csv")
@@ -422,7 +422,7 @@ _COMMANDS: tuple[tuple[str, str, Callable | None, tuple], ...] = (
     ("inequality search", "sweep a parameter grid", _cmd_search,
      (("--n", "range, e.g. 3..8"), ("--T", "range, e.g. 1..4"),
       ("--r", "range, e.g. 2 or 2..3"), "--m-policy", "--p-policy", "--class",
-      ("--include-full-m", "admit draw sizes equal to n"), "--threads",
+      ("--include-full-m", "admit draw sizes equal to n"),
       ("--format", "jsonl (default) or csv"), "--output")),
     ("inequality reduce", "closed-form reduced checks", _cmd_reduce,
      ("--case", "--n", ("--m", "vector for p-eq-T, scalar for p-eq-T-minus-1"),
@@ -446,6 +446,7 @@ def _flags(flags: tuple) -> Iterator[tuple[str, str | None, dict[str, Any]]]:
         yield name, help_text, _FLAG_SETTINGS.get(name, {})
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> _Parser:
     parser = _Parser(prog="occukit", description=__doc__)
     parser.add_argument("--config", help="JSON file providing default flag values")

@@ -296,13 +296,11 @@ def _blocks(grid: GridSpec, class_filter: ProximityClass) -> Iterator[tuple]:
         for T in grid.T_values:
             cell = _CellCache(n, T)
             for r in grid.r_values:
-                p_list = [
-                    (p, tuple(sorted(p)), classify_sizes(p))
-                    for p in _p_vectors(grid, T, r)
-                ]
-                p_list = [
-                    item for item in p_list if _CLASS_RANK[item[2]] <= rank
-                ]
+                p_list = []
+                for p in _p_vectors(grid, T, r):
+                    proximity = classify_sizes(p)
+                    if _CLASS_RANK[proximity] <= rank:
+                        p_list.append((p, tuple(sorted(p)), proximity))
                 if p_list:
                     yield n, T, cell, p_list
 
@@ -320,13 +318,6 @@ def _block_verdicts(grid: GridSpec, block: tuple) -> Iterator[InequalityVerdict]
             )
 
 
-def _verdicts(
-    grid: GridSpec, class_filter: ProximityClass
-) -> Iterator[InequalityVerdict]:
-    for block in _blocks(grid, class_filter):
-        yield from _block_verdicts(grid, block)
-
-
 class _GridSweep:
     """The verdict stream of one ``grid_search`` call.
 
@@ -339,7 +330,11 @@ class _GridSweep:
     def __init__(self, grid: GridSpec, class_filter: ProximityClass):
         self.grid = grid
         self.class_filter = class_filter
-        self._points = _verdicts(grid, class_filter)
+        self._points = (
+            verdict
+            for block in _blocks(grid, class_filter)
+            for verdict in _block_verdicts(grid, block)
+        )
 
     def __iter__(self) -> Iterator[InequalityVerdict]:
         return self._points
@@ -365,45 +360,31 @@ class _GridSweep:
             return None
         self._points.close()
         grid, summary = self.grid, SweepSummary()
-        by_class, violations_by_class = summary.by_class, summary.violations_by_class
         for block in _blocks(grid, self.class_filter):
             n, T, cell, p_list = block
             p_classes = sorted(Counter(
                 (p_sorted, proximity.value) for _, p_sorted, proximity in p_list
             ).items())
-            m_classes = _m_classes(grid, n, T)
-            m_weight = sum(orbit for _, orbit in m_classes)
-            summary.total += m_weight * len(p_list)
-            for (_, name), count in p_classes:
-                by_class[name] = by_class.get(name, 0) + m_weight * count
-            violations = 0
-            for m_sorted, orbit in m_classes:
+            violations_before = summary.violation_count
+            for m_sorted, orbit in _m_classes(grid, n, T):
                 for (p_sorted, name), count in p_classes:
                     margin, holds = cell.entry(m_sorted, p_sorted)[2:]
-                    if not holds:
-                        weight = orbit * count
-                        violations += weight
-                        violations_by_class[name] = (
-                            violations_by_class.get(name, 0) + weight
-                        )
-                    if summary.min_margin is None or margin < summary.min_margin:
-                        summary.min_margin = margin
-                        summary.min_margin_at = (n, m_sorted, p_sorted)
-            summary.violation_count += violations
-            if violations and len(summary.first_violations) < 10:
+                    summary._tally(
+                        name, holds, margin, orbit * count, (n, m_sorted, p_sorted)
+                    )
+            if (summary.violation_count > violations_before
+                    and len(summary.first_violations) < 10):
                 for verdict in _block_verdicts(grid, block):
                     if not verdict.holds:
                         summary.first_violations.append(verdict)
                         if len(summary.first_violations) == 10:
                             break
-        summary.holds_count = summary.total - summary.violation_count
         return summary
 
 
 def grid_search(
     grid: GridSpec,
     class_filter: ProximityClass = ProximityClass.UNCONSTRAINED,
-    threads: int = 1,
 ) -> Iterator[InequalityVerdict]:
     """Yield one verdict per grid point, in deterministic grid order
     (n, then T, then r, then m vector, then p vector, each ascending).
@@ -411,17 +392,13 @@ def grid_search(
     ``class_filter`` keeps only verdicts whose class is at most as wide:
     ``conservative`` emits conservative points only, ``relaxed`` adds the
     relaxed ones, ``unconstrained`` emits everything. Violations are ordinary
-    results; nothing is suppressed or raised. ``threads`` must be at least 1
-    (checked at the call); the margins are computed serially for any value,
-    since worker processes per (n, T) cell measured slower than one process,
-    so the stream never depends on it.
+    results; nothing is suppressed or raised. The margins are computed in
+    the calling process, one exact computation per symmetry class.
 
     The returned iterator is consumed lazily point by point, except that
     ``summarize_sweep`` given it unstarted tallies whole symmetry classes
     without building the points.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
     return _GridSweep(grid, class_filter)
 
 
@@ -439,19 +416,28 @@ class SweepSummary:
     first_violations: list[InequalityVerdict] = field(default_factory=list)
 
     def add(self, verdict: InequalityVerdict) -> None:
-        self.total += 1
-        name = verdict.proximity.value
-        self.by_class[name] = self.by_class.get(name, 0) + 1
-        if verdict.holds:
-            self.holds_count += 1
+        at = (verdict.params.n, verdict.params.m, verdict.p)
+        self._tally(verdict.proximity.value, verdict.holds, verdict.margin, 1, at)
+        if not verdict.holds and len(self.first_violations) < 10:
+            self.first_violations.append(verdict)
+
+    def _tally(
+        self, name: str, holds: bool, margin: Fraction, weight: int, at: tuple
+    ) -> None:
+        """Count ``weight`` points of class ``name`` that share one verdict,
+        the first of them in grid order at ``at = (n, m, p)``."""
+        self.total += weight
+        self.by_class[name] = self.by_class.get(name, 0) + weight
+        if holds:
+            self.holds_count += weight
         else:
-            self.violation_count += 1
-            self.violations_by_class[name] = self.violations_by_class.get(name, 0) + 1
-            if len(self.first_violations) < 10:
-                self.first_violations.append(verdict)
-        if self.min_margin is None or verdict.margin < self.min_margin:
-            self.min_margin = verdict.margin
-            self.min_margin_at = (verdict.params.n, verdict.params.m, verdict.p)
+            self.violation_count += weight
+            self.violations_by_class[name] = (
+                self.violations_by_class.get(name, 0) + weight
+            )
+        if self.min_margin is None or margin < self.min_margin:
+            self.min_margin = margin
+            self.min_margin_at = at
 
 
 def summarize_sweep(verdicts: Iterable[InequalityVerdict]) -> SweepSummary:

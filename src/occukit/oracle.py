@@ -18,8 +18,8 @@ draws themselves: a trial's state is the histogram ``h[0..T]`` of how many
 elements are covered ``c`` times, and a uniform ``m_i``-subset takes ``k_c``
 elements from class ``c`` with multivariate hypergeometric law, drawn as one
 hypergeometric per class. Only the counts are kept, so the state of a block
-of trials costs O(block * T) memory whatever ``n`` is; the occupancy tally
-alone has ``n + 1`` entries.
+of trials costs O(block * T) memory whatever ``n`` is; only the returned
+occupancy histogram has ``n + 1`` entries.
 
 :data:`STREAM_VERSION` names the sampler's seeded stream. It changes whenever
 the estimates for a given ``(instance, seed, trials)`` change: version 1 was
@@ -62,7 +62,9 @@ def exhaustive_outcome_count(params: Params) -> int:
     return out
 
 
-@lru_cache(maxsize=256)
+# One instance's tally at a time: its callers finish every threshold and mode
+# of one instance before the next, and a tally can hold many histograms.
+@lru_cache(maxsize=1)
 def _coverage_profile_counts(params: Params) -> dict[tuple[int, ...], int]:
     """Joint tally of the coverage-count histogram over all draw tuples.
 
@@ -170,7 +172,7 @@ def _block_histogram(
         h[: i + 1] -= k
         h[1 : i + 2] += k
     x = h[t] if mode is TailMode.EXACTLY else h[t:].sum(axis=0)
-    return np.bincount(x, minlength=params.n + 1)
+    return np.bincount(x)
 
 
 def _blocks(trials: int) -> list[tuple[int, int]]:
@@ -227,18 +229,19 @@ def monte_carlo(
         index, size = block
         return _block_histogram(params, t, mode, seed, index, size)
 
-    hist = np.zeros(params.n + 1, dtype=np.int64)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            for partial in pool.map(run, blocks):
-                hist += partial
+            partials = list(pool.map(run, blocks))
     else:
-        for block in blocks:
-            hist += run(block)
+        partials = map(run, blocks)
+    # Partial tallies end at their largest value; sums run over the support.
+    hist = np.zeros(params.n + 1, dtype=np.int64)
+    for partial in partials:
+        hist[: partial.size] += partial
 
-    counts = tuple(int(c) for c in hist)
+    support = [(int(x), int(hist[x])) for x in np.flatnonzero(hist)]
     power_sum = {
-        w: sum(c * x**w for x, c in enumerate(counts))
+        w: sum(c * x**w for x, c in support)
         for w in range(1, 2 * max_order + 1)
     }
     estimates = []
@@ -257,7 +260,7 @@ def monte_carlo(
         seed=seed,
         raw_moment_estimates=tuple(estimates),
         standard_errors=tuple(errors),
-        occupancy_histogram=counts,
+        occupancy_histogram=tuple(hist.tolist()),
     )
 
 

@@ -132,18 +132,6 @@ def test_grid_search_matches_direct_checks():
         assert direct == verdict
 
 
-def test_grid_search_parallel_stream_identical():
-    grid = _tiny_grid()
-    serial = list(grid_search(grid))
-    parallel = list(grid_search(grid, threads=2))
-    assert serial == parallel
-
-
-def test_grid_search_rejects_threads_below_one():
-    with pytest.raises(ValueError):
-        list(grid_search(_tiny_grid(), threads=0))
-
-
 def test_grid_search_class_filter_and_violation_reporting():
     grid = _tiny_grid(n_values=(3,), T_values=(2,), p_policy="all")
     everything = list(grid_search(grid, ProximityClass.UNCONSTRAINED))

@@ -99,11 +99,17 @@ def test_monte_carlo_tracks_exact_mean():
     assert abs(z) <= 5
 
 
-def test_monte_carlo_histogram_is_exact_tally():
-    result = monte_carlo(Params(6, (2, 3)), 1, TailMode.EXACTLY, 10_000, 9)
-    assert sum(result.occupancy_histogram) == 10_000
-    mean = sum(x * c for x, c in enumerate(result.occupancy_histogram)) / 10_000
-    assert result.raw_moment_estimates[0] == mean
+@pytest.mark.parametrize(
+    "params", [Params(6, (2, 3)), Params(10**6, (5, 3))], ids=str
+)
+def test_monte_carlo_histogram_is_exact_tally(params):
+    result = monte_carlo(params, 1, TailMode.EXACTLY, 10_000, 9, max_order=2)
+    hist = result.occupancy_histogram
+    assert len(hist) == params.n + 1
+    assert sum(hist) == 10_000
+    for v in (1, 2):
+        moment = sum(x**v * c for x, c in enumerate(hist)) / 10_000
+        assert result.raw_moment_estimates[v - 1] == moment
 
 
 def test_monte_carlo_rejects_bad_arguments():
