@@ -44,7 +44,9 @@ every final size from ``lo`` on is then admissible. An at-least query on
 ``r`` identical slots with threshold ``t`` thus has at most ``C(t + r, r)``
 states per draw, where uncapped levels would give about ``C(T + r, r)``.
 ``weight_sum_table`` produces ``G`` for every size vector of a given tuple
-length in one pass, which is what the inequality sweeps consume.
+length in one pass: the walk ``_prefix_tables`` over one draw-size vector.
+The inequality sweeps walk many vectors in lexicographic order, each rerunning
+only the draws past the prefix it shares with the one before.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .combinat import falling_factorial, iter_k_subsets
 from .errors import DegenerateDenominatorError
@@ -309,10 +311,6 @@ def weight_sum_naive(params: Params, spec: SpecLike) -> int:
     return total
 
 
-def _position_combos(r: int) -> list[list[tuple[int, ...]]]:
-    return [list(itertools.combinations(range(r), k)) for k in range(r + 1)]
-
-
 class _SlotClass:
     """The slots of one size set, tracked together as a multiset of levels.
 
@@ -453,47 +451,76 @@ def weight_sum_dp(params: Params, spec: SpecLike) -> int:
     return sum(states.values())
 
 
+def _draw_step(
+    table: list[int], n: int, size: int, r: int, offsets: list[tuple[int, int]]
+) -> list[int]:
+    """The dense ``r``-slot table after one more draw of ``size`` elements;
+    ``offsets`` holds (encoded increment, k) per set of ``k`` covered slots."""
+    fac = [
+        falling_factorial(size, k) * falling_factorial(n - size, r - k)
+        for k in range(r + 1)
+    ]
+    live = [(delta, fac[k]) for delta, k in offsets if fac[k] != 0]
+    nxt = [0] * len(table)
+    for s, w in enumerate(table):
+        if w:
+            for delta, f in live:
+                nxt[s + delta] += w * f
+    return nxt
+
+
+def _prefix_tables(
+    n: int, T: int, r: int, m_vectors: Iterable[Sequence[int]]
+) -> Iterator[list[int]]:
+    """Dense weight-sum tables of ``r`` slots, one per draw-size vector.
+
+    Every vector has length ``T``. The table of a vector lists ``G(p)`` for
+    all ``(T+1)^r`` size vectors ``p``, at index ``sum p_j (T+1)^j``. The
+    walk keeps the table after each draw of the previous vector, so a vector
+    reruns only the draws after its longest prefix shared with the one
+    before; at most ``T + 1`` tables are alive at once. Lexicographically
+    ordered vectors share the most. A yielded table must not be modified.
+    """
+    base = T + 1
+    offsets = [
+        (sum(base**j for j in slots), k)
+        for k in range(r + 1)
+        for slots in itertools.combinations(range(r), k)
+    ]
+    start = [0] * base**r
+    start[0] = 1
+    path = [start]  # path[k]: the table after the first k draws of prev
+    prev: Sequence[int] = ()
+    for m in m_vectors:
+        shared = 0
+        while shared < len(prev) and prev[shared] == m[shared]:
+            shared += 1
+        del path[shared + 1:]
+        for size in m[shared:]:
+            path.append(_draw_step(path[-1], n, size, r, offsets))
+        prev = m
+        yield path[-1]
+
+
 def weight_sum_table(params: Params, r: int) -> dict[tuple[int, ...], int]:
     """Weight sums ``G(p)`` for *every* size vector of ``r`` slots at once.
 
-    One dense forward DP over the draws; the returned mapping covers all
-    ``(T+1)^r`` size vectors (zero entries included). Used by the inequality
-    sweeps, where all sizes of a cell are needed anyway.
+    One dense forward DP over the draws (the walk of ``_prefix_tables`` over
+    one vector); the returned mapping covers all ``(T+1)^r`` size vectors
+    (zero entries included).
     """
     if r < 0:
         raise ValueError(f"need r >= 0, got {r}")
-    if r == 0:
-        return {(): 1}
-    T, n, m = params.T, params.n, params.m
-    base = T + 1
-    size = base**r
-    offsets: list[tuple[int, int]] = []  # (encoded increment, membership count)
-    for k, position_sets in enumerate(_position_combos(r)):
-        for positions in position_sets:
-            offsets.append((sum(base**pos for pos in positions), k))
-    cur = [0] * size
-    cur[0] = 1
-    for idx in range(T):
-        fac = [
-            falling_factorial(m[idx], k) * falling_factorial(n - m[idx], r - k)
-            for k in range(r + 1)
-        ]
-        live = [(delta, fac[k]) for delta, k in offsets if fac[k] != 0]
-        nxt = [0] * size
-        for s, w in enumerate(cur):
-            if w:
-                for delta, f in live:
-                    nxt[s + delta] += w * f
-        cur = nxt
-    table: dict[tuple[int, ...], int] = {}
-    for s in range(size):
+    base = params.T + 1
+    table = next(_prefix_tables(params.n, params.T, r, [params.m]))
+    out: dict[tuple[int, ...], int] = {}
+    for s, value in enumerate(table):
         digits = []
-        enc = s
         for _ in range(r):
-            digits.append(enc % base)
-            enc //= base
-        table[tuple(digits)] = cur[s]
-    return table
+            digits.append(s % base)
+            s //= base
+        out[tuple(digits)] = value
+    return out
 
 
 @lru_cache(maxsize=4096)

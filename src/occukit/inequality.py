@@ -38,8 +38,10 @@ from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .combinat import falling_factorial, iter_k_subsets
+# weight_sum_table is not called here; perfbench/tracing.py wraps this name.
 from .core import (
-    Params, SizeSpec, _as_index, occupancy_norm, pattern_weight, weight_sum_table,
+    Params, SizeSpec, _as_index, _prefix_tables, occupancy_norm, pattern_weight,
+    weight_sum_table,
 )
 
 
@@ -229,72 +231,50 @@ def _p_vectors(grid: GridSpec, T: int, r: int) -> Iterator[tuple[int, ...]]:
             yield vec
 
 
-class _CellCache:
-    """Per-(n, T) memo for sweep margins.
+def _denominators(n: int, T: int, r: int) -> tuple[int, int]:
+    """``n^(r(T-1))`` and ``((n)_r)^(T-1)``, the denominators of the two
+    sides in an (n, T, r) block; a margin's is their product."""
+    return n ** (r * (T - 1)), falling_factorial(n, r) ** (T - 1)
 
-    Both sides of the inequality are invariant under permuting the draw-size
-    vector (relabelling draw indices) and under permuting the slot sizes
-    (independent slots), so one exact computation per sorted (m, p) pair
-    serves every grid point in its symmetry class. The point stream looks
-    an entry up once per point, the class-level summary once per class.
+
+def _class_sides(
+    n: int, T: int, r: int, m_sorted: list[tuple[int, ...]],
+    p_keys: list[tuple[int, ...]],
+) -> Iterator[list[tuple[int, int, int]]]:
+    """Integer sides of the inequality per (sorted m, sorted p) class.
+
+    Both sides are invariant under permuting the draw sizes (relabelling
+    draw indices) and the slot sizes (independent slots), so one exact
+    computation per sorted (m, p) pair serves its whole symmetry class.
+    For each vector of ``m_sorted``, in the order given (ascending, so the
+    table walks share prefixes), yields ``(L, G, num)`` per entry of
+    ``p_keys``: ``L = prod G_1(p_j)`` and ``G = G_r(p)``, so that
+    ``lhs = L / n^(r(T-1))``, ``rhs = G / ((n)_r)^(T-1)`` and the margin is
+    ``num`` over the product of both denominators.
     """
-
-    def __init__(self, n: int, T: int):
-        self.n = n
-        self.T = T
-        self._singles: dict[tuple[int, ...], list[Fraction]] = {}
-        self._joint: dict[tuple[tuple[int, ...], int], dict[tuple[int, ...], int]] = {}
-        self._entries: dict[
-            tuple[tuple[int, ...], tuple[int, ...]],
-            tuple[Fraction, Fraction, Fraction, bool],
-        ] = {}
-
-    def _single_norms(self, m_sorted: tuple[int, ...]) -> list[Fraction]:
-        cached = self._singles.get(m_sorted)
-        if cached is None:
-            table = weight_sum_table(Params(self.n, m_sorted), 1)
-            den = self.n ** (self.T - 1)
-            cached = [Fraction(table[(p,)], den) for p in range(self.T + 1)]
-            self._singles[m_sorted] = cached
-        return cached
-
-    def _joint_table(
-        self, m_sorted: tuple[int, ...], r: int
-    ) -> dict[tuple[int, ...], int]:
-        key = (m_sorted, r)
-        cached = self._joint.get(key)
-        if cached is None:
-            cached = weight_sum_table(Params(self.n, m_sorted), r)
-            self._joint[key] = cached
-        return cached
-
-    def entry(
-        self, m_sorted: tuple[int, ...], p_sorted: tuple[int, ...]
-    ) -> tuple[Fraction, Fraction, Fraction, bool]:
-        key = (m_sorted, p_sorted)
-        cached = self._entries.get(key)
-        if cached is None:
-            singles = self._single_norms(m_sorted)
-            lhs = Fraction(1)
-            for p in p_sorted:
-                lhs *= singles[p]
-            r = len(p_sorted)
-            joint = self._joint_table(m_sorted, r)[p_sorted]
-            rhs = Fraction(joint, falling_factorial(self.n, r) ** (self.T - 1))
-            margin = lhs - rhs
-            cached = (lhs, rhs, margin, margin >= 0)
-            self._entries[key] = cached
-        return cached
+    base = T + 1
+    den_lhs, den_rhs = _denominators(n, T, r)
+    codes = [sum(v * base**j for j, v in enumerate(p)) for p in p_keys]
+    singles = _prefix_tables(n, T, 1, m_sorted)
+    joints = _prefix_tables(n, T, r, m_sorted)
+    for single, joint in zip(singles, joints):
+        out = []
+        for p, code in zip(p_keys, codes):
+            lhs = 1
+            for v in p:
+                lhs *= single[v]
+            rhs = joint[code]
+            out.append((lhs, rhs, lhs * den_rhs - rhs * den_lhs))
+        yield out
 
 
 def _blocks(grid: GridSpec, class_filter: ProximityClass) -> Iterator[tuple]:
-    """Every non-empty (n, T, r) block in grid order, as ``(n, T, cell,
+    """Every non-empty (n, T, r) block in grid order, as ``(n, T, r,
     p_list)`` with the filtered ``(p, sorted p, class)`` triples in order.
-    One margin cache per (n, T) serves all its r values."""
+    Each block's margins come from its own table walks (``_class_sides``)."""
     rank = _CLASS_RANK[class_filter]
     for n in grid.n_values:
         for T in grid.T_values:
-            cell = _CellCache(n, T)
             for r in grid.r_values:
                 p_list = []
                 for p in _p_vectors(grid, T, r):
@@ -302,16 +282,32 @@ def _blocks(grid: GridSpec, class_filter: ProximityClass) -> Iterator[tuple]:
                     if _CLASS_RANK[proximity] <= rank:
                         p_list.append((p, tuple(sorted(p)), proximity))
                 if p_list:
-                    yield n, T, cell, p_list
+                    yield n, T, r, p_list
 
 
 def _block_verdicts(grid: GridSpec, block: tuple) -> Iterator[InequalityVerdict]:
-    n, T, cell, p_list = block
+    """The block's points in grid order. Product order reaches each sorted m
+    vector before any of its permutations, and the sorted vectors in
+    ascending order, so the walk advances exactly at the sorted ones; later
+    permutations reuse that class's fractions."""
+    n, T, r, p_list = block
+    p_keys = sorted({p_sorted for _, p_sorted, _ in p_list})
+    sides = _class_sides(n, T, r, [m for m, _ in _m_classes(grid, n, T)], p_keys)
+    den_lhs, den_rhs = _denominators(n, T, r)
+    den = den_lhs * den_rhs
+    rows: dict[tuple[int, ...], dict[tuple[int, ...], tuple]] = {}
     for m in _m_vectors(grid, n, T):
         params = Params(n, m)
-        m_sorted = tuple(sorted(m))
+        key = tuple(sorted(m))
+        if m == key:
+            rows[m] = {
+                p: (Fraction(lhs, den_lhs), Fraction(rhs, den_rhs),
+                    Fraction(num, den), num >= 0)
+                for p, (lhs, rhs, num) in zip(p_keys, next(sides))
+            }
+        row = rows[key]
         for p, p_sorted, proximity in p_list:
-            lhs, rhs, margin, holds = cell.entry(m_sorted, p_sorted)
+            lhs, rhs, margin, holds = row[p_sorted]
             yield InequalityVerdict(
                 params=params, p=p, lhs=lhs, rhs=rhs,
                 margin=margin, holds=holds, proximity=proximity,
@@ -353,25 +349,32 @@ class _GridSweep:
         ascending order of their sorted tuples, each the lexicographically
         first member of its orbit, so strict ``<`` picks the same
         ``min_margin_at`` as the per-point fold, and ``by_class`` keys come
-        out in the same first-seen order. Blocks with a violation are walked
-        point by point only while ``first_violations`` has room.
+        out in the same first-seen order. Within a block every margin has
+        one denominator, so margins are compared as integer numerators and
+        only the block minimum becomes a ``Fraction``. Blocks with a
+        violation are walked point by point only while ``first_violations``
+        has room.
         """
         if inspect.getgeneratorstate(self._points) != inspect.GEN_CREATED:
             return None
         self._points.close()
         grid, summary = self.grid, SweepSummary()
         for block in _blocks(grid, self.class_filter):
-            n, T, cell, p_list = block
+            n, T, r, p_list = block
             p_classes = sorted(Counter(
                 (p_sorted, proximity.value) for _, p_sorted, proximity in p_list
             ).items())
+            p_keys = [p_sorted for (p_sorted, _), _ in p_classes]
+            m_classes = _m_classes(grid, n, T)
+            sides = _class_sides(n, T, r, [m for m, _ in m_classes], p_keys)
             violations_before = summary.violation_count
-            for m_sorted, orbit in _m_classes(grid, n, T):
-                for (p_sorted, name), count in p_classes:
-                    margin, holds = cell.entry(m_sorted, p_sorted)[2:]
-                    summary._tally(
-                        name, holds, margin, orbit * count, (n, m_sorted, p_sorted)
-                    )
+            low = low_at = None
+            for (m_sorted, orbit), row in zip(m_classes, sides):
+                for ((p_sorted, name), count), (_, _, num) in zip(p_classes, row):
+                    summary._count(name, num >= 0, orbit * count)
+                    if low is None or num < low:
+                        low, low_at = num, (n, m_sorted, p_sorted)
+            summary._minimum(Fraction(low, math.prod(_denominators(n, T, r))), low_at)
             if (summary.violation_count > violations_before
                     and len(summary.first_violations) < 10):
                 for verdict in _block_verdicts(grid, block):
@@ -416,16 +419,13 @@ class SweepSummary:
     first_violations: list[InequalityVerdict] = field(default_factory=list)
 
     def add(self, verdict: InequalityVerdict) -> None:
-        at = (verdict.params.n, verdict.params.m, verdict.p)
-        self._tally(verdict.proximity.value, verdict.holds, verdict.margin, 1, at)
+        self._count(verdict.proximity.value, verdict.holds, 1)
+        self._minimum(verdict.margin, (verdict.params.n, verdict.params.m, verdict.p))
         if not verdict.holds and len(self.first_violations) < 10:
             self.first_violations.append(verdict)
 
-    def _tally(
-        self, name: str, holds: bool, margin: Fraction, weight: int, at: tuple
-    ) -> None:
-        """Count ``weight`` points of class ``name`` that share one verdict,
-        the first of them in grid order at ``at = (n, m, p)``."""
+    def _count(self, name: str, holds: bool, weight: int) -> None:
+        """Count ``weight`` points of class ``name`` that share one verdict."""
         self.total += weight
         self.by_class[name] = self.by_class.get(name, 0) + weight
         if holds:
@@ -435,6 +435,10 @@ class SweepSummary:
             self.violations_by_class[name] = (
                 self.violations_by_class.get(name, 0) + weight
             )
+
+    def _minimum(self, margin: Fraction, at: tuple) -> None:
+        """Fold in ``margin``, first reached in grid order at ``at = (n, m,
+        p)``; strict ``<`` keeps the earliest point of the minimum."""
         if self.min_margin is None or margin < self.min_margin:
             self.min_margin = margin
             self.min_margin_at = at

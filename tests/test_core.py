@@ -342,6 +342,28 @@ def test_weight_sum_table_matches_dp():
             assert value == weight_sum_dp(params, SizeSpec.fixed(*sizes))
 
 
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize(
+    "n,vectors",
+    [
+        # shares two draws; truncates to one and extends; repeats; shares
+        # nothing; m_i = n (zero factors)
+        (4, [(1, 2, 3), (1, 2, 4), (1, 3, 1), (1, 3, 1), (4, 4, 2), (4, 1, 4)]),
+        (5, [(2,), (2,), (5,), (1,)]),  # T = 1
+    ],
+    ids=["T3", "T1"],
+)
+def test_prefix_tables_match_dp(n, vectors, r):
+    T = len(vectors[0])
+    walk = core._prefix_tables(n, T, r, vectors)
+    for m, table in zip(vectors, walk, strict=True):
+        params = Params(n, m)
+        assert len(table) == (T + 1) ** r
+        for p in itertools.product(range(T + 1), repeat=r):
+            code = sum(v * (T + 1) ** j for j, v in enumerate(p))
+            assert table[code] == weight_sum_dp(params, SizeSpec.fixed(*p)), (m, p)
+
+
 def test_weight_sum_table_rejects_negative_r():
     with pytest.raises(ValueError):
         weight_sum_table(P53, -1)

@@ -126,8 +126,21 @@ def test_grid_search_deterministic_order():
     assert len(first) > 0
 
 
-def test_grid_search_matches_direct_checks():
-    for verdict in grid_search(_tiny_grid()):
+@pytest.mark.parametrize(
+    "grid",
+    [
+        _tiny_grid(),
+        # T up to 4, so the table walks share and truncate longer prefixes
+        GridSpec((3, 4), (3, 4), (1, 3)),
+        GridSpec((3,), (1, 2, 3), (2, 3), p_policy="all", include_full_m=True),
+        GridSpec((2, 3, 4), (1, 2, 3, 4), (1, 2), m_policy="uniform",
+                 p_policy="all", include_full_m=True),
+    ],
+    ids=["tiny", "deep", "full-m", "uniform-full-m"],
+)
+def test_grid_search_matches_direct_checks(grid):
+    # check_inequality goes through weight_sum_dp, not the table walks.
+    for verdict in grid_search(grid):
         direct = check_inequality(verdict.params, verdict.p)
         assert direct == verdict
 
@@ -234,6 +247,9 @@ def test_class_level_summary_matches_point_fold(grid, class_filter):
     by_class = summarize_sweep(grid_search(grid, class_filter))
     by_point = summarize_sweep(iter(list(grid_search(grid, class_filter))))
     assert _summary_fields(by_class) == _summary_fields(by_point)
+    # Both folds read the table walks; check_inequality does not.
+    n, m, p = by_class.min_margin_at
+    assert by_class.min_margin == check_inequality(Params(n, m), p).margin
 
 
 def test_class_level_summary_records_violations_in_grid_order():
