@@ -25,7 +25,6 @@ from .core import Params, SizeSpec, _as_index, occupancy_norm
 from .errors import BudgetExceededError, DegenerateDenominatorError
 from .inequality import (
     GridSpec,
-    ProximityClass,
     audit_induction_step,
     check_inequality,
     full_size_reduction,
@@ -268,8 +267,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         p_policy=args.p_policy or "proximity",
         include_full_m=bool(args.include_full_m),
     )
-    class_filter = ProximityClass.from_string(args.class_filter or "unconstrained")
-    verdicts = grid_search(grid, class_filter)
+    verdicts = grid_search(grid)
     fmt = getattr(args, "fmt", None) or "jsonl"
     if fmt not in ("jsonl", "csv"):
         raise _UsageError(f"unknown sweep format {fmt!r}; expected jsonl or csv")
@@ -392,8 +390,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 # argparse settings of a flag beyond its name and help text.
 _FLAG_SETTINGS: dict[str, dict[str, Any]] = {
     "--format": {"dest": "fmt"},
-    "--class": {"dest": "class_filter",
-                "choices": ["conservative", "relaxed", "unconstrained"]},
     "--m-policy": {"choices": ["uniform", "mixed"]},
     "--p-policy": {"choices": ["all-equal", "proximity", "relaxed", "all"]},
     "--include-full-m": {"action": "store_true"},
@@ -421,7 +417,7 @@ _COMMANDS: tuple[tuple[str, str, Callable | None, tuple], ...] = (
      ("--n", "--m", "--p", *_COMMON)),
     ("inequality search", "sweep a parameter grid", _cmd_search,
      (("--n", "range, e.g. 3..8"), ("--T", "range, e.g. 1..4"),
-      ("--r", "range, e.g. 2 or 2..3"), "--m-policy", "--p-policy", "--class",
+      ("--r", "range, e.g. 2 or 2..3"), "--m-policy", "--p-policy",
       ("--include-full-m", "admit draw sizes equal to n"),
       ("--format", "jsonl (default) or csv"), "--output")),
     ("inequality reduce", "closed-form reduced checks", _cmd_reduce,

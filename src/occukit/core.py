@@ -262,6 +262,15 @@ def power_weight(params: Params, pattern: Iterable[int], r: int) -> int:
     return out
 
 
+def _draw_factors(n: int, size: int, r: int) -> list[int]:
+    """``(size)_k (n - size)_(r-k)`` for ``k = 0..r``: the factor one draw of
+    ``size`` elements applies when ``k`` of ``r`` tracked elements are in it."""
+    return [
+        falling_factorial(size, k) * falling_factorial(n - size, r - k)
+        for k in range(r + 1)
+    ]
+
+
 def _slot_subsets(T: int, sizes: frozenset[int]) -> list[frozenset[int]]:
     out: list[frozenset[int]] = []
     for p in sorted(sizes):
@@ -290,13 +299,7 @@ def weight_sum_naive(params: Params, spec: SpecLike) -> int:
                 mask |= 1 << (i - 1)
             masks.append(mask)
         slot_masks.append(masks)
-    factors = [
-        [
-            falling_factorial(m[i], k) * falling_factorial(n - m[i], r - k)
-            for k in range(r + 1)
-        ]
-        for i in range(T)
-    ]
+    factors = [_draw_factors(n, m[i], r) for i in range(T)]
     total = 0
     for combo in itertools.product(*slot_masks):
         w = 1
@@ -427,10 +430,7 @@ def weight_sum_dp(params: Params, spec: SpecLike) -> int:
     states: dict[int, int] = {0: 1}
     for idx in range(T):
         remaining = T - idx - 1
-        fac = [
-            falling_factorial(m[idx], k) * falling_factorial(n - m[idx], r - k)
-            for k in range(r + 1)
-        ]
+        fac = _draw_factors(n, m[idx], r)
         nxt: dict[int, int] = {}
         for state, w in states.items():
             moves = first.moves_within(state, remaining)
@@ -456,10 +456,7 @@ def _draw_step(
 ) -> list[int]:
     """The dense ``r``-slot table after one more draw of ``size`` elements;
     ``offsets`` holds (encoded increment, k) per set of ``k`` covered slots."""
-    fac = [
-        falling_factorial(size, k) * falling_factorial(n - size, r - k)
-        for k in range(r + 1)
-    ]
+    fac = _draw_factors(n, size, r)
     live = [(delta, fac[k]) for delta, k in offsets if fac[k] != 0]
     nxt = [0] * len(table)
     for s, w in enumerate(table):
@@ -470,18 +467,20 @@ def _draw_step(
 
 
 def _prefix_tables(
-    n: int, T: int, r: int, m_vectors: Iterable[Sequence[int]]
+    n: int, T: int, r: int, m_vectors: Iterable[Sequence[int]],
+    p_vectors: Sequence[Sequence[int]],
 ) -> Iterator[list[int]]:
-    """Dense weight-sum tables of ``r`` slots, one per draw-size vector.
+    """``[G(p) for p in p_vectors]`` of ``r`` slots, per draw-size vector.
 
-    Every vector has length ``T``. The table of a vector lists ``G(p)`` for
-    all ``(T+1)^r`` size vectors ``p``, at index ``sum p_j (T+1)^j``. The
-    walk keeps the table after each draw of the previous vector, so a vector
-    reruns only the draws after its longest prefix shared with the one
-    before; at most ``T + 1`` tables are alive at once. Lexicographically
-    ordered vectors share the most. A yielded table must not be modified.
+    Every draw-size vector has length ``T``. The walk fills a dense table of
+    ``G`` for all ``(T+1)^r`` size vectors, ``p`` at index
+    ``sum p_j (T+1)^j``, and keeps the table after each draw of the previous
+    vector, so a vector reruns only the draws after its longest prefix shared
+    with the one before; at most ``T + 1`` tables are alive at once.
+    Lexicographically ordered vectors share the most.
     """
     base = T + 1
+    codes = [sum(v * base**j for j, v in enumerate(p)) for p in p_vectors]
     offsets = [
         (sum(base**j for j in slots), k)
         for k in range(r + 1)
@@ -499,7 +498,8 @@ def _prefix_tables(
         for size in m[shared:]:
             path.append(_draw_step(path[-1], n, size, r, offsets))
         prev = m
-        yield path[-1]
+        table = path[-1]
+        yield [table[code] for code in codes]
 
 
 def weight_sum_table(params: Params, r: int) -> dict[tuple[int, ...], int]:
@@ -507,20 +507,15 @@ def weight_sum_table(params: Params, r: int) -> dict[tuple[int, ...], int]:
 
     One dense forward DP over the draws (the walk of ``_prefix_tables`` over
     one vector); the returned mapping covers all ``(T+1)^r`` size vectors
-    (zero entries included).
+    (zero entries included), the first slot's size varying fastest.
     """
     if r < 0:
         raise ValueError(f"need r >= 0, got {r}")
-    base = params.T + 1
-    table = next(_prefix_tables(params.n, params.T, r, [params.m]))
-    out: dict[tuple[int, ...], int] = {}
-    for s, value in enumerate(table):
-        digits = []
-        for _ in range(r):
-            digits.append(s % base)
-            s //= base
-        out[tuple(digits)] = value
-    return out
+    sizes = [
+        p[::-1] for p in itertools.product(range(params.T + 1), repeat=r)
+    ]
+    values = next(_prefix_tables(params.n, params.T, r, [params.m], sizes))
+    return dict(zip(sizes, values))
 
 
 @lru_cache(maxsize=4096)

@@ -52,23 +52,6 @@ class ProximityClass(enum.Enum):
     RELAXED = "relaxed"  # spread <= max(1, r - 2)
     UNCONSTRAINED = "unconstrained"
 
-    @classmethod
-    def from_string(cls, value: str) -> "ProximityClass":
-        for item in cls:
-            if item.value == value:
-                return item
-        raise ValueError(
-            f"unknown proximity class {value!r}; expected one of "
-            + ", ".join(repr(i.value) for i in cls)
-        )
-
-
-_CLASS_RANK = {
-    ProximityClass.CONSERVATIVE: 0,
-    ProximityClass.RELAXED: 1,
-    ProximityClass.UNCONSTRAINED: 2,
-}
-
 
 def classify_sizes(p: Sequence[int]) -> ProximityClass:
     """Tightest class the size vector satisfies."""
@@ -157,9 +140,10 @@ class GridSpec:
 
     ``m_policy`` is ``uniform`` (all draw sizes equal) or ``mixed`` (every
     vector). Draw sizes run over ``[1, n-1]`` unless ``include_full_m``
-    admits ``m_i = n``. ``p_policy`` bounds the size-vector spread:
-    ``all-equal``, ``proximity`` (spread <= 1), ``relaxed``
-    (spread <= max(1, r-2)), or ``all``.
+    admits ``m_i = n``. ``p_policy`` bounds the size-vector spread, and so
+    the proximity classes swept: ``all-equal`` (spread 0), ``proximity``
+    (spread <= 1, the conservative class), ``relaxed`` (spread <=
+    max(1, r-2), adding the relaxed class), or ``all`` (every class).
     """
 
     n_values: tuple[int, ...]
@@ -173,6 +157,8 @@ class GridSpec:
         for name in ("n_values", "T_values", "r_values"):
             values = tuple([_as_index(v, name) for v in getattr(self, name)])
             object.__setattr__(self, name, values)
+            if len(set(values)) < len(values):
+                raise ValueError(f"{name} repeats a value: {values}")
         if not (self.n_values and self.T_values and self.r_values):
             raise ValueError("grid ranges must be non-empty")
         if min(self.n_values) < 1 or min(self.T_values) < 1 or min(self.r_values) < 1:
@@ -252,37 +238,30 @@ def _class_sides(
     ``lhs = L / n^(r(T-1))``, ``rhs = G / ((n)_r)^(T-1)`` and the margin is
     ``num`` over the product of both denominators.
     """
-    base = T + 1
     den_lhs, den_rhs = _denominators(n, T, r)
-    codes = [sum(v * base**j for j, v in enumerate(p)) for p in p_keys]
-    singles = _prefix_tables(n, T, 1, m_sorted)
-    joints = _prefix_tables(n, T, r, m_sorted)
+    singles = _prefix_tables(n, T, 1, m_sorted, [(v,) for v in range(T + 1)])
+    joints = _prefix_tables(n, T, r, m_sorted, p_keys)
     for single, joint in zip(singles, joints):
         out = []
-        for p, code in zip(p_keys, codes):
+        for p, rhs in zip(p_keys, joint):
             lhs = 1
             for v in p:
                 lhs *= single[v]
-            rhs = joint[code]
             out.append((lhs, rhs, lhs * den_rhs - rhs * den_lhs))
         yield out
 
 
-def _blocks(grid: GridSpec, class_filter: ProximityClass) -> Iterator[tuple]:
-    """Every non-empty (n, T, r) block in grid order, as ``(n, T, r,
-    p_list)`` with the filtered ``(p, sorted p, class)`` triples in order.
-    Each block's margins come from its own table walks (``_class_sides``)."""
-    rank = _CLASS_RANK[class_filter]
+def _blocks(grid: GridSpec) -> Iterator[tuple]:
+    """Every (n, T, r) block in grid order, as ``(n, T, r, p_list)`` with the
+    block's ``(p, sorted p, class)`` triples in order. Each block's margins
+    come from its own table walks (``_class_sides``)."""
     for n in grid.n_values:
         for T in grid.T_values:
             for r in grid.r_values:
-                p_list = []
-                for p in _p_vectors(grid, T, r):
-                    proximity = classify_sizes(p)
-                    if _CLASS_RANK[proximity] <= rank:
-                        p_list.append((p, tuple(sorted(p)), proximity))
-                if p_list:
-                    yield n, T, r, p_list
+                yield n, T, r, [
+                    (p, tuple(sorted(p)), classify_sizes(p))
+                    for p in _p_vectors(grid, T, r)
+                ]
 
 
 def _block_verdicts(grid: GridSpec, block: tuple) -> Iterator[InequalityVerdict]:
@@ -321,14 +300,13 @@ class _GridSweep:
     unstarted one per symmetry class instead (see ``_summarize``).
     """
 
-    __slots__ = ("grid", "class_filter", "_points")
+    __slots__ = ("grid", "_points")
 
-    def __init__(self, grid: GridSpec, class_filter: ProximityClass):
+    def __init__(self, grid: GridSpec):
         self.grid = grid
-        self.class_filter = class_filter
         self._points = (
             verdict
-            for block in _blocks(grid, class_filter)
+            for block in _blocks(grid)
             for verdict in _block_verdicts(grid, block)
         )
 
@@ -345,7 +323,7 @@ class _GridSweep:
 
         Per (n, T, r) block, each sorted m vector stands for its ``T!/prod
         mult!`` orderings (1 under ``uniform``), and each sorted p vector
-        for the filtered p vectors that sort to it. Classes are visited in
+        for the block's p vectors that sort to it. Classes are visited in
         ascending order of their sorted tuples, each the lexicographically
         first member of its orbit, so strict ``<`` picks the same
         ``min_margin_at`` as the per-point fold, and ``by_class`` keys come
@@ -359,7 +337,7 @@ class _GridSweep:
             return None
         self._points.close()
         grid, summary = self.grid, SweepSummary()
-        for block in _blocks(grid, self.class_filter):
+        for block in _blocks(grid):
             n, T, r, p_list = block
             p_classes = sorted(Counter(
                 (p_sorted, proximity.value) for _, p_sorted, proximity in p_list
@@ -385,24 +363,21 @@ class _GridSweep:
         return summary
 
 
-def grid_search(
-    grid: GridSpec,
-    class_filter: ProximityClass = ProximityClass.UNCONSTRAINED,
-) -> Iterator[InequalityVerdict]:
-    """Yield one verdict per grid point, in deterministic grid order
-    (n, then T, then r, then m vector, then p vector, each ascending).
+def grid_search(grid: GridSpec) -> Iterator[InequalityVerdict]:
+    """Yield one verdict per grid point, in deterministic grid order: n, then
+    T, then r, each in the order the grid lists them, then m vector, then p
+    vector, each ascending.
 
-    ``class_filter`` keeps only verdicts whose class is at most as wide:
-    ``conservative`` emits conservative points only, ``relaxed`` adds the
-    relaxed ones, ``unconstrained`` emits everything. Violations are ordinary
-    results; nothing is suppressed or raised. The margins are computed in
-    the calling process, one exact computation per symmetry class.
+    ``grid.p_policy`` picks which size vectors are swept. Violations are
+    ordinary results; nothing is suppressed or raised. The margins are
+    computed in the calling process, one exact computation per symmetry
+    class.
 
     The returned iterator is consumed lazily point by point, except that
     ``summarize_sweep`` given it unstarted tallies whole symmetry classes
     without building the points.
     """
-    return _GridSweep(grid, class_filter)
+    return _GridSweep(grid)
 
 
 @dataclass(slots=True)

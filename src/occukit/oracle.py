@@ -210,6 +210,8 @@ def monte_carlo(
     histogram, so the accumulation is order-independent and the final
     estimates do not depend on the worker count. ``threads`` must be at
     least 1; no more threads start than there are blocks of trials.
+    ``seed`` must lie in ``[0, 2**128)``, the range of the generator's key,
+    so that no two seeds share a stream.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
@@ -217,6 +219,8 @@ def monte_carlo(
         raise ValueError(f"max_order must be >= 1, got {max_order}")
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
+    if not 0 <= seed < 1 << 128:
+        raise ValueError(f"seed must be in [0, 2**128), got {seed}")
     threshold_sizes(params.T, t, mode)
     if params.n >= _MAX_CLASS_SIZE:
         raise ValueError(

@@ -106,6 +106,17 @@ def test_usage_error_exit_codes(capsys):
                  "exact", "--trials", "100", "--seed", "1", "--threads", "-3"]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and "threads must be at least 1" in captured.err
+    assert main(["simulate", "--n", "6", "--m", "2,3", "--t", "1", "--mode",
+                 "exact", "--trials", "100", "--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "seed must be in" in captured.err
+    # p_policy is the only size filter; a repeated grid value is an error
+    assert main(["inequality", "search", "--n", "3", "--T", "1", "--r", "2",
+                 "--class", "conservative"]) == 1
+    assert capsys.readouterr().out == ""
+    assert main(["inequality", "search", "--n", "3,3", "--T", "1", "--r", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "repeats a value" in captured.err
 
 
 def test_budget_exit_code(capsys, monkeypatch):
@@ -157,8 +168,7 @@ def test_inequality_check_command(capsys):
 def test_inequality_search_jsonl(capsys):
     code = main(
         ["inequality", "search", "--n", "3..4", "--T", "1..2", "--r", "2",
-         "--m-policy", "uniform", "--p-policy", "all-equal",
-         "--class", "conservative"]
+         "--m-policy", "uniform", "--p-policy", "all-equal"]
     )
     assert code == 0
     lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
@@ -167,6 +177,7 @@ def test_inequality_search_jsonl(capsys):
     assert summary["type"] == "summary"
     assert summary["total"] == len(rows)
     assert summary["violations"] == 0
+    assert summary["by_class"] == {"conservative": len(rows)}
     for row in rows:
         assert fraction_from_json(row["lhs"]) - fraction_from_json(
             row["rhs"]
@@ -343,12 +354,12 @@ def test_config_keys_are_flag_names(capsys, tmp_path):
     code, payload = _run_json(capsys, ["--config", str(config), "norm"])
     assert code == 0
     assert fraction_from_json(payload["value"]) == Fraction(28, 5)
-    # "class" reaches --class: only conservative points are streamed
-    config.write_text(json.dumps({"class": "conservative", "p-policy": "all"}))
+    # "p-policy" reaches --p-policy: unconstrained points are streamed too
+    config.write_text(json.dumps({"p-policy": "all"}))
     assert main(["--config", str(config), "inequality", "search",
                  "--n", "3", "--T", "2", "--r", "2"]) == 0
     lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-    assert lines[-1]["by_class"] == {"conservative": len(lines) - 1}
+    assert set(lines[-1]["by_class"]) == {"conservative", "unconstrained"}
 
 
 def test_config_key_of_another_command_is_ignored(capsys, tmp_path):
@@ -358,7 +369,7 @@ def test_config_key_of_another_command_is_ignored(capsys, tmp_path):
     assert capsys.readouterr().out.strip() == "28/5 ~= 5.6"
 
 
-@pytest.mark.parametrize("key", ["nn", "fmt", "include-full-m"])
+@pytest.mark.parametrize("key", ["nn", "fmt", "include-full-m", "class"])
 def test_config_rejects_unknown_keys(capsys, tmp_path, key):
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"n": 5, "m": [2, 3], "p": [1, 1], key: 7}))

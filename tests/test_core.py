@@ -355,13 +355,13 @@ def test_weight_sum_table_matches_dp():
 )
 def test_prefix_tables_match_dp(n, vectors, r):
     T = len(vectors[0])
-    walk = core._prefix_tables(n, T, r, vectors)
-    for m, table in zip(vectors, walk, strict=True):
+    sizes = list(itertools.product(range(T + 1), repeat=r))
+    walk = core._prefix_tables(n, T, r, vectors, sizes)
+    for m, values in zip(vectors, walk, strict=True):
         params = Params(n, m)
-        assert len(table) == (T + 1) ** r
-        for p in itertools.product(range(T + 1), repeat=r):
-            code = sum(v * (T + 1) ** j for j, v in enumerate(p))
-            assert table[code] == weight_sum_dp(params, SizeSpec.fixed(*p)), (m, p)
+        assert len(values) == len(sizes)
+        for p, value in zip(sizes, values):
+            assert value == weight_sum_dp(params, SizeSpec.fixed(*p)), (m, p)
 
 
 def test_weight_sum_table_rejects_negative_r():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -145,10 +146,10 @@ def test_grid_search_matches_direct_checks(grid):
         assert direct == verdict
 
 
-def test_grid_search_class_filter_and_violation_reporting():
+def test_grid_search_p_policy_and_violation_reporting():
     grid = _tiny_grid(n_values=(3,), T_values=(2,), p_policy="all")
-    everything = list(grid_search(grid, ProximityClass.UNCONSTRAINED))
-    conservative = list(grid_search(grid, ProximityClass.CONSERVATIVE))
+    everything = list(grid_search(grid))
+    conservative = list(grid_search(dataclasses.replace(grid, p_policy="proximity")))
     assert {v.proximity for v in everything} == {
         ProximityClass.CONSERVATIVE,
         ProximityClass.UNCONSTRAINED,
@@ -166,6 +167,24 @@ def test_grid_search_class_filter_and_violation_reporting():
     assert summary.holds_count + summary.violation_count == summary.total
     assert summary.min_margin < 0
     assert summary.first_violations
+
+
+@pytest.mark.parametrize(
+    "p_policy,classes",
+    [
+        ("proximity", {ProximityClass.CONSERVATIVE}),
+        ("relaxed", {ProximityClass.CONSERVATIVE, ProximityClass.RELAXED}),
+    ],
+    ids=["proximity", "relaxed"],
+)
+def test_p_policy_streams_the_classes_of_all(p_policy, classes):
+    # The policy is the sweep's class filter: the narrower stream is the
+    # wider one with the other classes left out, in the same order.
+    grid = GridSpec((4, 5), (1, 2), (2, 4), p_policy="all")
+    everything = list(grid_search(grid))
+    assert {v.proximity for v in everything} == set(ProximityClass)
+    narrow = list(grid_search(dataclasses.replace(grid, p_policy=p_policy)))
+    assert narrow == [v for v in everything if v.proximity in classes]
 
 
 def test_grid_search_uniform_and_all_equal_policies():
@@ -193,6 +212,10 @@ def test_grid_spec_validation():
         GridSpec(n_values=(3,), T_values=(1,), r_values=(2,), p_policy="odd")
     with pytest.raises(ValueError):
         GridSpec(n_values=(1,), T_values=(1,), r_values=(1,))
+    for repeated in [((3, 3), (2,), (2,)), ((3,), (1, 2, 1), (2,)),
+                     ((4,), (2,), (2, 3, 2))]:
+        with pytest.raises(ValueError, match="repeats"):
+            GridSpec(*repeated)
 
 
 @pytest.mark.parametrize(
@@ -224,28 +247,24 @@ def _summary_fields(s):
 
 
 @pytest.mark.parametrize(
-    "grid,class_filter",
+    "grid",
     [
-        (GridSpec((3, 4, 5), (1, 2, 3), (2, 3)), ProximityClass.UNCONSTRAINED),
-        (GridSpec((4, 5), (1, 2, 3), (2, 3, 4), p_policy="relaxed"),
-         ProximityClass.UNCONSTRAINED),
-        (GridSpec((4, 5), (1, 2, 3), (2, 3, 4), p_policy="relaxed"),
-         ProximityClass.CONSERVATIVE),
-        (GridSpec((4, 5), (1, 2, 3), (2, 3, 4), p_policy="all"),
-         ProximityClass.RELAXED),
-        (GridSpec((3, 4, 5, 6), (1, 2, 3, 4), (2, 3), m_policy="uniform",
-                  p_policy="all-equal"), ProximityClass.UNCONSTRAINED),
-        (GridSpec((3, 4), (1, 2, 3), (1, 2, 3), p_policy="all"),
-         ProximityClass.UNCONSTRAINED),
-        (GridSpec((3, 4), (1, 2, 3), (2, 3), p_policy="all",
-                  include_full_m=True), ProximityClass.UNCONSTRAINED),
-        (GridSpec((2, 3), (1, 2, 3, 4), (1, 2), m_policy="uniform",
-                  p_policy="all", include_full_m=True), ProximityClass.UNCONSTRAINED),
+        GridSpec((3, 4, 5), (1, 2, 3), (2, 3)),
+        GridSpec((4, 5), (1, 2, 3), (2, 3, 4)),
+        GridSpec((4, 5), (1, 2, 3), (2, 3, 4), p_policy="relaxed"),
+        GridSpec((3, 4, 5, 6), (1, 2, 3, 4), (2, 3), m_policy="uniform",
+                 p_policy="all-equal"),
+        GridSpec((3, 4), (1, 2, 3), (1, 2, 3), p_policy="all"),
+        GridSpec((3, 4), (1, 2, 3), (2, 3), p_policy="all", include_full_m=True),
+        GridSpec((2, 3), (1, 2, 3, 4), (1, 2), m_policy="uniform",
+                 p_policy="all", include_full_m=True),
     ],
+    ids=["proximity", "proximity-r4", "relaxed", "uniform-all-equal", "all",
+         "all-full-m", "uniform-all-full-m"],
 )
-def test_class_level_summary_matches_point_fold(grid, class_filter):
-    by_class = summarize_sweep(grid_search(grid, class_filter))
-    by_point = summarize_sweep(iter(list(grid_search(grid, class_filter))))
+def test_class_level_summary_matches_point_fold(grid):
+    by_class = summarize_sweep(grid_search(grid))
+    by_point = summarize_sweep(iter(list(grid_search(grid))))
     assert _summary_fields(by_class) == _summary_fields(by_point)
     # Both folds read the table walks; check_inequality does not.
     n, m, p = by_class.min_margin_at

@@ -120,6 +120,11 @@ def test_monte_carlo_rejects_bad_arguments():
     for threads in (0, -3):
         with pytest.raises(ValueError, match="threads"):
             monte_carlo(P53, 1, TailMode.EXACTLY, 10, 1, threads=threads)
+    # Seeds outside the 128-bit generator key would replay another seed.
+    for seed in (-1, 2**128):
+        with pytest.raises(ValueError, match="seed"):
+            monte_carlo(P53, 1, TailMode.EXACTLY, 10, seed)
+    assert monte_carlo(P53, 1, TailMode.EXACTLY, 10, 2**128 - 1).seed == 2**128 - 1
 
 
 def test_monte_carlo_thread_pool_capped_at_block_count(monkeypatch):
