@@ -252,6 +252,7 @@ def _summary_fields(s):
         GridSpec((3, 4, 5), (1, 2, 3), (2, 3)),
         GridSpec((4, 5), (1, 2, 3), (2, 3, 4)),
         GridSpec((4, 5), (1, 2, 3), (2, 3, 4), p_policy="relaxed"),
+        GridSpec((3, 4), (1, 2, 3), (2, 3), p_policy="relaxed", include_full_m=True),
         GridSpec((3, 4, 5, 6), (1, 2, 3, 4), (2, 3), m_policy="uniform",
                  p_policy="all-equal"),
         GridSpec((3, 4), (1, 2, 3), (1, 2, 3), p_policy="all"),
@@ -259,8 +260,8 @@ def _summary_fields(s):
         GridSpec((2, 3), (1, 2, 3, 4), (1, 2), m_policy="uniform",
                  p_policy="all", include_full_m=True),
     ],
-    ids=["proximity", "proximity-r4", "relaxed", "uniform-all-equal", "all",
-         "all-full-m", "uniform-all-full-m"],
+    ids=["proximity", "proximity-r4", "relaxed", "relaxed-full-m",
+         "uniform-all-equal", "all", "all-full-m", "uniform-all-full-m"],
 )
 def test_class_level_summary_matches_point_fold(grid):
     by_class = summarize_sweep(grid_search(grid))
