@@ -183,7 +183,8 @@ def _emit(
     elif fmt == "csv" and csv_text is not None:
         text = csv_text
     else:
-        raise _UsageError(f"unknown format {fmt!r}; expected pretty or json")
+        expected = "pretty, json or csv" if csv_text is not None else "pretty or json"
+        raise _UsageError(f"unknown format {fmt!r}; expected {expected}")
     output = getattr(args, "output", None)
     if output:
         with open(output, "w", encoding="utf-8") as fh:

@@ -65,18 +65,24 @@ from .combinat import falling_factorial, iter_k_subsets
 from .errors import DegenerateDenominatorError
 
 
-def _as_index(value: object, what: str) -> int:
-    """``value`` as an exact int. Ints and numpy integers pass; floats,
-    strings and bools raise ``TypeError`` rather than being truncated or
-    read as 0 and 1."""
-    if type(value) is int:
-        return value
-    if isinstance(value, bool):
-        raise TypeError(f"{what} must be an integer, got bool {value!r}")
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise TypeError(f"{what} must be an integer, got {value!r}") from None
+def _as_index(
+    value: object, what: str, lo: int | None = None, hi: int | None = None
+) -> int:
+    """``value`` as an exact int, at least ``lo`` and at most ``hi`` when
+    given (``hi`` only with ``lo``). Ints and numpy integers pass; floats,
+    strings and bools raise ``TypeError`` rather than being truncated or read
+    as 0 and 1. A value out of bounds raises ``ValueError``."""
+    if type(value) is not int:
+        if isinstance(value, bool):
+            raise TypeError(f"{what} must be an integer, got bool {value!r}")
+        try:
+            value = operator.index(value)
+        except TypeError:
+            raise TypeError(f"{what} must be an integer, got {value!r}") from None
+    if (lo is not None and value < lo) or (hi is not None and value > hi):
+        bounds = f"at least {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise ValueError(f"{what} must be {bounds}, got {value}")
+    return value
 
 
 def _is_scalar(value: object) -> bool:
@@ -103,17 +109,12 @@ class Params:
     m: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n", _as_index(self.n, "population size n"))
-        object.__setattr__(self, "m", tuple(_as_index(v, "draw size") for v in self.m))
-        if self.n < 1:
-            raise ValueError(f"population size must be positive, got n={self.n}")
-        if len(self.m) < 1:
+        n = _as_index(self.n, "population size n", 1)
+        object.__setattr__(self, "n", n)
+        m = tuple([_as_index(v, "draw size", 1, n) for v in self.m])
+        object.__setattr__(self, "m", m)
+        if not m:
             raise ValueError("at least one draw size is required")
-        for i, size in enumerate(self.m, start=1):
-            if not 1 <= size <= self.n:
-                raise ValueError(
-                    f"draw size m_{i}={size} out of range [1, n={self.n}]"
-                )
 
     @property
     def T(self) -> int:
@@ -158,7 +159,7 @@ class SizeSpec:
     def repeated(cls, entry: int | Iterable[int], count: int) -> "SizeSpec":
         """``count`` identical slots, each allowing ``entry`` (int or set)."""
         b = _size_set((entry,) if _is_scalar(entry) else entry)
-        return cls((b,) * count)
+        return cls((b,) * _as_index(count, "count", 0))
 
     @classmethod
     def coerce(cls, value: SpecLike) -> "SizeSpec":
@@ -190,11 +191,7 @@ class SizeSpec:
 
 
 def _validate_pattern(params: Params, pattern: Iterable[int]) -> frozenset[int]:
-    out = frozenset([_as_index(i, "draw index") for i in pattern])
-    for i in out:
-        if not 1 <= i <= params.T:
-            raise ValueError(f"draw index {i} outside [1, {params.T}]")
-    return out
+    return frozenset([_as_index(i, "draw index", 1, params.T) for i in pattern])
 
 
 def _validate_spec(params: Params, spec: SizeSpec) -> None:
@@ -210,9 +207,7 @@ def membership_counts(T: int, patterns: Sequence[Iterable[int]]) -> tuple[int, .
     counts = [0] * T
     for pattern in patterns:
         for i in pattern:
-            if not 1 <= i <= T:
-                raise ValueError(f"draw index {i} outside [1, {T}]")
-            counts[i - 1] += 1
+            counts[_as_index(i, "draw index", 1, T) - 1] += 1
     return tuple(counts)
 
 
@@ -252,8 +247,7 @@ def power_weight(params: Params, pattern: Iterable[int], r: int) -> int:
     Equal to ``joint_weight`` on r copies of ``pattern``, in product form:
     covered draws contribute ``(m_i)_r``, the rest ``(n - m_i)_r``.
     """
-    if r < 1:
-        raise ValueError(f"need r >= 1, got {r}")
+    r = _as_index(r, "r", 1)
     covered = _validate_pattern(params, pattern)
     out = 1
     for i, size in enumerate(params.m, start=1):
@@ -509,8 +503,7 @@ def weight_sum_table(params: Params, r: int) -> dict[tuple[int, ...], int]:
     one vector); the returned mapping covers all ``(T+1)^r`` size vectors
     (zero entries included), the first slot's size varying fastest.
     """
-    if r < 0:
-        raise ValueError(f"need r >= 0, got {r}")
+    r = _as_index(r, "r", 0)
     sizes = [
         p[::-1] for p in itertools.product(range(params.T + 1), repeat=r)
     ]

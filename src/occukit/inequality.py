@@ -78,10 +78,7 @@ class InequalityVerdict(NamedTuple):
 def check_inequality(params: Params, p: Sequence[int]) -> InequalityVerdict:
     """Evaluate both sides exactly on one instance. Reports, never asserts:
     a negative margin comes back as a verdict with ``holds=False``."""
-    p = tuple([_as_index(v, "slot size") for v in p])
-    for v in p:
-        if not 0 <= v <= params.T:
-            raise ValueError(f"slot size {v} out of range [0, {params.T}]")
+    p = tuple([_as_index(v, "slot size", 0, params.T) for v in p])
     lhs = Fraction(1)
     for v in p:
         lhs *= occupancy_norm(params, SizeSpec.fixed(v))
@@ -103,10 +100,7 @@ def factorization_identity_check(params: Params, p: Sequence[int]) -> bool:
     ``sum g / n^(T-1)``. Exact equality is the algebraic identity that lets
     the inequality be stated purely in norms.
     """
-    p = tuple([_as_index(v, "slot size") for v in p])
-    for v in p:
-        if not 0 <= v <= params.T:
-            raise ValueError(f"slot size {v} out of range [0, {params.T}]")
+    p = tuple([_as_index(v, "slot size", 0, params.T) for v in p])
     r, T, n = len(p), params.T, params.n
     if r == 0:
         return True
@@ -155,14 +149,12 @@ class GridSpec:
 
     def __post_init__(self) -> None:
         for name in ("n_values", "T_values", "r_values"):
-            values = tuple([_as_index(v, name) for v in getattr(self, name)])
+            values = tuple([_as_index(v, name, 1) for v in getattr(self, name)])
             object.__setattr__(self, name, values)
             if len(set(values)) < len(values):
                 raise ValueError(f"{name} repeats a value: {values}")
         if not (self.n_values and self.T_values and self.r_values):
             raise ValueError("grid ranges must be non-empty")
-        if min(self.n_values) < 1 or min(self.T_values) < 1 or min(self.r_values) < 1:
-            raise ValueError("grid values must be positive")
         if max(self.r_values) > min(self.n_values):
             raise ValueError(
                 f"grid admits r={max(self.r_values)} slots with population "
@@ -172,6 +164,10 @@ class GridSpec:
             raise ValueError(f"m_policy must be one of {_M_POLICIES}")
         if self.p_policy not in _P_POLICIES:
             raise ValueError(f"p_policy must be one of {_P_POLICIES}")
+        if type(self.include_full_m) is not bool:
+            raise TypeError(
+                f"include_full_m must be a bool, got {self.include_full_m!r}"
+            )
         if not self.include_full_m and min(self.n_values) < 2:
             raise ValueError("n=1 leaves no admissible draw sizes below n")
 
@@ -475,12 +471,11 @@ def near_full_size_reduction(n: int, m: int, T: int) -> ReducedCheck:
     ``n = m + 1`` the ratio analysis loses its positive denominator). Must
     agree in truth value with ``check_inequality`` at ``p = (T-1, T-1)``.
     """
-    if m < 2:
-        raise ValueError(f"uniform draw size must be >= 2, got m={m}")
+    n = _as_index(n, "n")
+    m = _as_index(m, "uniform draw size m", 2)
+    T = _as_index(T, "T", 1)
     if n <= m:
         raise ValueError(f"need m < n, got m={m}, n={n}")
-    if T < 1:
-        raise ValueError(f"need T >= 1, got {T}")
     if T == 1 and n < m + 2:
         raise ValueError("T=1 needs n >= m + 2 (n = m + 1 is inadmissible)")
     lhs = Fraction(n - 1, n) ** (T - 1) * T * Fraction(n - m, m)
@@ -498,10 +493,8 @@ def near_full_size_reduction(n: int, m: int, T: int) -> ReducedCheck:
 def minimal_admissible_n(m: int, T: int) -> int:
     """Smallest population for which the induction ratios are defined:
     ``m + 1`` for ``T >= 2`` and ``m + 2`` for ``T = 1``."""
-    if m < 2:
-        raise ValueError(f"need m >= 2, got {m}")
-    if T < 1:
-        raise ValueError(f"need T >= 1, got {T}")
+    m = _as_index(m, "m", 2)
+    T = _as_index(T, "T", 1)
     return m + 1 if T >= 2 else m + 2
 
 
@@ -516,11 +509,7 @@ def induction_ratios(m: int, T: int, n: int) -> tuple[Fraction, Fraction]:
     The left side increases with ``n``, the right side decreases, so checking
     the minimal admissible ``n`` settles all larger populations.
     """
-    if n < minimal_admissible_n(m, T):
-        raise ValueError(
-            f"n={n} inadmissible for m={m}, T={T}; "
-            f"need n >= {minimal_admissible_n(m, T)}"
-        )
+    n = _as_index(n, f"n for m={m}, T={T}", minimal_admissible_n(m, T))
     lhs = Fraction(n - 1, n) * Fraction((T + 1) ** 2, T**2)
     a = Fraction(n - m - 1, m)
     b = Fraction(n - m, m - 1)
@@ -537,8 +526,7 @@ def induction_profile(T: int) -> Fraction:
     peak 32/27 at ``T = 3``, then decreasing toward 1), so it dominates every
     ``1 - 1/m^2``.
     """
-    if T < 1:
-        raise ValueError(f"need T >= 1, got {T}")
+    T = _as_index(T, "T", 1)
     return Fraction((T + 1) ** 2 * (T - 1), T**3)
 
 

@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .combinat import stirling2
-from .core import Params, SizeSpec, occupancy_norm
+from .core import Params, SizeSpec, _as_index, occupancy_norm
 
 
 class TailMode(enum.Enum):
@@ -48,8 +48,7 @@ class TailMode(enum.Enum):
 
 def threshold_sizes(T: int, t: int, mode: TailMode) -> frozenset[int]:
     """Admissible pattern sizes for threshold ``t``: {t} or {t, ..., T}."""
-    if not 1 <= t <= T:
-        raise ValueError(f"threshold t={t} out of range [1, {T}]")
+    t = _as_index(t, "threshold t", 1, T)
     if mode is TailMode.EXACTLY:
         return frozenset((t,))
     return frozenset(range(t, T + 1))
@@ -62,8 +61,7 @@ def raw_moment(params: Params, t: int, mode: TailMode, order: int) -> Fraction:
     which is undefined beyond the population size
     (:class:`~occukit.errors.DegenerateDenominatorError` propagates).
     """
-    if order < 1:
-        raise ValueError(f"moment order must be >= 1, got {order}")
+    order = _as_index(order, "moment order", 1)
     sizes = threshold_sizes(params.T, t, mode)
     total = Fraction(0)
     for i in range(1, order + 1):
@@ -94,8 +92,7 @@ def moment_report(
 
     ``max_order`` must be at least 2 so the variance is defined.
     """
-    if max_order < 2:
-        raise ValueError(f"max_order must be >= 2 for a variance, got {max_order}")
+    max_order = _as_index(max_order, "max_order", 2)
     raw = tuple(raw_moment(params, t, mode, v) for v in range(1, max_order + 1))
     mean = raw[0]
     variance = raw[1] - mean * mean

@@ -40,7 +40,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .combinat import binomial
-from .core import Params
+from .core import Params, _as_index
 from .errors import BudgetExceededError
 from .moments import TailMode, raw_moment, threshold_sizes
 
@@ -103,8 +103,7 @@ class ExactPmf:
         return tuple(sorted(x for x, p in self.probabilities.items() if p != 0))
 
     def moment(self, order: int) -> Fraction:
-        if order < 0:
-            raise ValueError(f"moment order must be >= 0, got {order}")
+        order = _as_index(order, "moment order", 0)
         return sum(
             (p * x**order for x, p in self.probabilities.items()), Fraction(0)
         )
@@ -119,6 +118,7 @@ def exhaustive_pmf(
 ) -> ExactPmf:
     """Exact distribution of the occupancy count by full enumeration."""
     threshold_sizes(params.T, t, mode)  # validates t
+    budget = _as_index(budget, "budget")
     count = exhaustive_outcome_count(params)
     if count > budget:
         raise BudgetExceededError(count, budget)
@@ -213,14 +213,10 @@ def monte_carlo(
     ``seed`` must lie in ``[0, 2**128)``, the range of the generator's key,
     so that no two seeds share a stream.
     """
-    if trials < 1:
-        raise ValueError(f"need at least one trial, got {trials}")
-    if max_order < 1:
-        raise ValueError(f"max_order must be >= 1, got {max_order}")
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
-    if not 0 <= seed < 1 << 128:
-        raise ValueError(f"seed must be in [0, 2**128), got {seed}")
+    trials = _as_index(trials, "trials", 1)
+    max_order = _as_index(max_order, "max_order", 1)
+    threads = _as_index(threads, "threads", 1)
+    seed = _as_index(seed, "seed", 0, (1 << 128) - 1)
     threshold_sizes(params.T, t, mode)
     if params.n >= _MAX_CLASS_SIZE:
         raise ValueError(
@@ -314,10 +310,9 @@ def compare_report(
     """
     if method not in ("auto", "exhaustive", "monte-carlo"):
         raise ValueError(f"unknown comparison method {method!r}")
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
-    if max_order < 1:
-        raise ValueError(f"max_order must be >= 1, got {max_order}")
+    threads = _as_index(threads, "threads", 1)
+    max_order = _as_index(max_order, "max_order", 1)
+    budget = _as_index(budget, "budget")
     if method == "auto":
         method = (
             "exhaustive"

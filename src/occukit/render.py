@@ -12,6 +12,7 @@ from fractions import Fraction
 from math import inf
 from typing import Any, Mapping
 
+from .core import _as_index
 from .inequality import InductionAudit, InequalityVerdict, ReducedCheck, SweepSummary
 from .moments import MomentReport
 from .oracle import STREAM_VERSION, ComparisonReport, EmpiricalMoments, ExactPmf
@@ -26,10 +27,8 @@ def approx_float(q: Fraction) -> float:
 
 def approx_str(q: Fraction, digits: int = 12) -> str:
     """Decimal rendering to the given number of significant digits."""
-    if digits < 1:
-        raise ValueError(f"need at least one digit, got {digits}")
     with localcontext() as ctx:
-        ctx.prec = digits
+        ctx.prec = _as_index(digits, "digits", 1)
         return str(Decimal(q.numerator) / Decimal(q.denominator))
 
 

@@ -110,6 +110,11 @@ def test_usage_error_exit_codes(capsys):
                  "exact", "--trials", "100", "--seed", "-1"]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and "seed must be in" in captured.err
+    # simulate's format error names the formats simulate takes
+    assert main(["simulate", "--n", "6", "--m", "2,3", "--t", "1", "--mode",
+                 "exact", "--trials", "100", "--format", "xml"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "expected pretty, json or csv" in captured.err
     # p_policy is the only size filter; a repeated grid value is an error
     assert main(["inequality", "search", "--n", "3", "--T", "1", "--r", "2",
                  "--class", "conservative"]) == 1

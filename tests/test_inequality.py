@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from occukit.core import Params
+from occukit.core import Params, SizeSpec, power_weight, weight_sum_table
 from occukit.errors import DegenerateDenominatorError
 from occukit.inequality import (
     GridSpec,
@@ -22,6 +22,9 @@ from occukit.inequality import (
     near_full_size_reduction,
     summarize_sweep,
 )
+from occukit.moments import TailMode, raw_moment
+from occukit.oracle import exhaustive_pmf
+from occukit.render import approx_str
 
 
 # --- classification ---------------------------------------------------------
@@ -230,6 +233,15 @@ def test_grid_spec_validation():
         lambda: audit_induction_step(3, (2.7,)),
         lambda: audit_induction_step(3, (2,), (0.5,)),
         lambda: audit_induction_step(3, (2,), (0,), extra_n=(13.0,)),
+        lambda: induction_profile(True),
+        lambda: GridSpec((3,), (1,), (2,), include_full_m="no"),
+        lambda: exhaustive_pmf(Params(5, (2, 3)), True, TailMode.EXACTLY),
+        lambda: exhaustive_pmf(Params(5, (2, 3)), 1, TailMode.EXACTLY, budget=10.5),
+        lambda: raw_moment(Params(5, (2, 3)), 1, TailMode.EXACTLY, True),
+        lambda: weight_sum_table(Params(5, (2, 3)), True),
+        lambda: power_weight(Params(5, (2, 3)), {1}, True),
+        lambda: SizeSpec.repeated(1, True),
+        lambda: approx_str(Fraction(1, 3), digits=True),
     ],
 )
 def test_entry_points_reject_non_integers(call):

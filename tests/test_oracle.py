@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from occukit import oracle
@@ -125,6 +126,14 @@ def test_monte_carlo_rejects_bad_arguments():
         with pytest.raises(ValueError, match="seed"):
             monte_carlo(P53, 1, TailMode.EXACTLY, 10, seed)
     assert monte_carlo(P53, 1, TailMode.EXACTLY, 10, 2**128 - 1).seed == 2**128 - 1
+    # Bools and floats are not counts; numpy integers are.
+    for bad in ({"seed": True}, {"trials": True}, {"max_order": True},
+                {"threads": 2.5}):
+        with pytest.raises(TypeError):
+            monte_carlo(P53, 1, TailMode.EXACTLY, **{"trials": 10, "seed": 1, **bad})
+    assert monte_carlo(P53, 1, TailMode.EXACTLY, 10, np.int64(5)) == monte_carlo(
+        P53, 1, TailMode.EXACTLY, 10, 5
+    )
 
 
 def test_monte_carlo_thread_pool_capped_at_block_count(monkeypatch):
@@ -202,3 +211,5 @@ def test_compare_report_method_validation():
     # order 0 would compare nothing and report every row equal
     with pytest.raises(ValueError, match="max_order"):
         compare_report(P53, 1, TailMode.EXACTLY, 0, method="exhaustive")
+    with pytest.raises(TypeError, match="max_order"):
+        compare_report(P53, 1, TailMode.EXACTLY, max_order=True, method="exhaustive")
