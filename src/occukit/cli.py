@@ -13,24 +13,29 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
 from contextlib import nullcontext
 from functools import lru_cache
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence, TextIO
 
 from . import render
 from .core import Params, SizeSpec, _as_index, occupancy_norm
 from .errors import BudgetExceededError, DegenerateDenominatorError
+# grid_search is not called here; perfbench/tracing.py wraps this name.
 from .inequality import (
     GridSpec,
+    InequalityVerdict,
+    SweepSummary,
+    _block_rows,
+    _blocks,
     audit_induction_step,
     check_inequality,
     full_size_reduction,
     grid_search,
     near_full_size_reduction,
-    SweepSummary,
 )
 from .moments import TailMode, moment_report
 from .oracle import DEFAULT_BUDGET, compare_report, exhaustive_pmf, monte_carlo
@@ -259,6 +264,82 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _jsonl_tail(verdict: InequalityVerdict) -> str:
+    """The verdict's JSON line from ``"class"`` on: the fields its symmetry
+    class shares, as ``json.dumps`` writes them, with the leading ``{`` cut."""
+    record = render.verdict_json_dict(verdict)
+    for key in ("n", "T", "r", "m", "p"):
+        del record[key]
+    return json.dumps(record)[1:] + "\n"
+
+
+def _csv_tail(verdict: InequalityVerdict) -> str:
+    """The verdict's CSV row from the ``class`` cell on, line end included."""
+    text = io.StringIO()
+    csv.writer(text).writerow(render.verdict_csv_row(verdict)[5:])
+    return text.getvalue()
+
+
+# Per format, a point's record is head(n, T, r, m) + cell(p) + tail(verdict).
+# Head and p cells hold only integers, which neither format quotes or escapes.
+_SWEEP_TEXT: dict[str, tuple[Callable, Callable, Callable]] = {
+    "jsonl": (
+        lambda n, T, r, m:
+            f'{{"n": {n}, "T": {T}, "r": {r}, "m": {json.dumps(m)}, "p": ',
+        lambda p: json.dumps(p) + ", ",
+        _jsonl_tail,
+    ),
+    "csv": (
+        lambda n, T, r, m: f"{n},{T},{r},{';'.join(map(str, m))},",
+        lambda p: ";".join(map(str, p)) + ",",
+        _csv_tail,
+    ),
+}
+
+
+class _StreamedClass:
+    """One symmetry class of a block, as the stream meets it: its margin
+    numerator over the block's one denominator, the verdict of its first
+    point in grid order, its shared fields as the stream's format writes
+    them, and how many of its points have been streamed."""
+
+    __slots__ = ("num", "verdict", "tail", "points")
+
+    def __init__(self, num: int, verdict: InequalityVerdict, tail: str):
+        self.num, self.verdict, self.tail, self.points = num, verdict, tail, 0
+
+
+def _stream_block(
+    sink: TextIO, fmt: str, grid: GridSpec, block: tuple, summary: SweepSummary,
+) -> None:
+    """Write one (n, T, r) block's points in grid order and fold them into
+    ``summary``: one ``_count`` per class for the points streamed, and the
+    block minimum found among integer numerators, strict ``<`` over the
+    classes in the grid order of their first points. ``first_violations``
+    is never rendered, so it stays empty."""
+    head, cell, tail = _SWEEP_TEXT[fmt]
+    n, T, r, p_list = block
+    classes: list[_StreamedClass] = []
+
+    def record(verdict: InequalityVerdict, num: int) -> _StreamedClass:
+        classes.append(_StreamedClass(num, verdict, tail(verdict)))
+        return classes[-1]
+
+    cells = [cell(p) for p, _, _ in p_list]
+    for m, row in _block_rows(grid, block, record):
+        lead = head(n, T, r, m)
+        sink.write("".join([lead + text + cls.tail for text, cls in zip(cells, row)]))
+        for cls in row:
+            cls.points += 1
+    low = classes[0]
+    for cls in classes:
+        summary._count(cls.verdict.proximity.value, cls.verdict.holds, cls.points)
+        if cls.num < low.num:
+            low = cls
+    at = low.verdict
+    summary._minimum(at.margin, (n, at.params.m, at.p))
+
+
 def _cmd_search(args: argparse.Namespace) -> int:
     grid = GridSpec(
         n_values=_arg(args, "n", _as_int_range),
@@ -268,9 +349,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
         p_policy=args.p_policy or "proximity",
         include_full_m=bool(args.include_full_m),
     )
-    verdicts = grid_search(grid)
     fmt = getattr(args, "fmt", None) or "jsonl"
-    if fmt not in ("jsonl", "csv"):
+    if fmt not in _SWEEP_TEXT:
         raise _UsageError(f"unknown sweep format {fmt!r}; expected jsonl or csv")
     summary = SweepSummary()
     output = getattr(args, "output", None)
@@ -278,15 +358,9 @@ def _cmd_search(args: argparse.Namespace) -> int:
         else nullcontext(sys.stdout)
     with sink_cm as sink:
         if fmt == "csv":
-            writer = csv.writer(sink)
-            writer.writerow(render.VERDICT_CSV_COLUMNS)
-            for verdict in verdicts:
-                summary.add(verdict)
-                writer.writerow(render.verdict_csv_row(verdict))
-        else:
-            for verdict in verdicts:
-                summary.add(verdict)
-                sink.write(json.dumps(render.verdict_json_dict(verdict)) + "\n")
+            csv.writer(sink).writerow(render.VERDICT_CSV_COLUMNS)
+        for block in _blocks(grid):
+            _stream_block(sink, fmt, grid, block, summary)
         summary_obj = render.summary_json_dict(summary)
         if fmt == "jsonl":
             sink.write(json.dumps(summary_obj) + "\n")

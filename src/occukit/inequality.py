@@ -35,7 +35,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from .combinat import falling_factorial, iter_k_subsets
 # weight_sum_table is not called here; perfbench/tracing.py wraps this name.
@@ -260,33 +260,53 @@ def _blocks(grid: GridSpec) -> Iterator[tuple]:
                 ]
 
 
-def _block_verdicts(grid: GridSpec, block: tuple) -> Iterator[InequalityVerdict]:
-    """The block's points in grid order. Product order reaches each sorted m
-    vector before any of its permutations, and the sorted vectors in
-    ascending order, so the walk advances exactly at the sorted ones; later
-    permutations reuse that class's fractions."""
+_R = TypeVar("_R")
+
+
+def _block_rows(
+    grid: GridSpec, block: tuple, record: Callable[[InequalityVerdict, int], _R],
+) -> Iterator[tuple[tuple[int, ...], list[_R]]]:
+    """The block's m vectors in grid order, each as ``(m, row)``: ``row[i]``
+    is the record of the symmetry class of the point ``(m, p_list[i][0])``.
+
+    A class's record is ``record(verdict, num)``, made once: ``verdict`` is
+    the class's first point in grid order, (sorted m, sorted p), and ``num``
+    its margin's numerator over the block's one denominator. Product order
+    reaches each sorted m vector before any of its permutations, and the
+    sorted vectors in ascending order, so the walk advances exactly at the
+    sorted ones, and ``record`` meets the classes in the grid order of their
+    first points. Later permutations reuse the sorted vector's row.
+    """
     n, T, r, p_list = block
     p_keys = sorted({p_sorted for _, p_sorted, _ in p_list})
     sides = _class_sides(n, T, r, [m for m, _ in _m_classes(grid, n, T)], p_keys)
     den_lhs, den_rhs = _denominators(n, T, r)
     den = den_lhs * den_rhs
-    rows: dict[tuple[int, ...], dict[tuple[int, ...], tuple]] = {}
+    rows: dict[tuple[int, ...], list[_R]] = {}
     for m in _m_vectors(grid, n, T):
-        params = Params(n, m)
         key = tuple(sorted(m))
         if m == key:
-            rows[m] = {
-                p: (Fraction(lhs, den_lhs), Fraction(rhs, den_rhs),
-                    Fraction(num, den), num >= 0)
+            params = Params(n, m)
+            records = {
+                p: record(InequalityVerdict(
+                    params=params, p=p, lhs=Fraction(lhs, den_lhs),
+                    rhs=Fraction(rhs, den_rhs), margin=Fraction(num, den),
+                    holds=num >= 0, proximity=classify_sizes(p),
+                ), num)
                 for p, (lhs, rhs, num) in zip(p_keys, next(sides))
             }
-        row = rows[key]
-        for p, p_sorted, proximity in p_list:
-            lhs, rhs, margin, holds = row[p_sorted]
-            yield InequalityVerdict(
-                params=params, p=p, lhs=lhs, rhs=rhs,
-                margin=margin, holds=holds, proximity=proximity,
-            )
+            rows[m] = [records[p_sorted] for _, p_sorted, _ in p_list]
+        yield m, rows[key]
+
+
+def _block_verdicts(grid: GridSpec, block: tuple) -> Iterator[InequalityVerdict]:
+    """The block's points in grid order, each its class's verdict moved to
+    the point's own m and p."""
+    n, T, r, p_list = block
+    for m, row in _block_rows(grid, block, lambda verdict, num: verdict):
+        params = Params(n, m)
+        for (p, _, _), verdict in zip(p_list, row):
+            yield InequalityVerdict(params, p, *verdict[2:])
 
 
 class _GridSweep:

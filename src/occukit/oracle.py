@@ -52,6 +52,8 @@ _BLOCK_TRIALS = 1 << 15
 _MASK64 = (1 << 64) - 1
 # numpy's hypergeometric sampler needs every class size below this.
 _MAX_CLASS_SIZE = 10**9
+# A seed is the generator's 128-bit key, so no two seeds share a stream.
+_MAX_SEED = (1 << 128) - 1
 
 
 def exhaustive_outcome_count(params: Params) -> int:
@@ -216,7 +218,7 @@ def monte_carlo(
     trials = _as_index(trials, "trials", 1)
     max_order = _as_index(max_order, "max_order", 1)
     threads = _as_index(threads, "threads", 1)
-    seed = _as_index(seed, "seed", 0, (1 << 128) - 1)
+    seed = _as_index(seed, "seed", 0, _MAX_SEED)
     threshold_sizes(params.T, t, mode)
     if params.n >= _MAX_CLASS_SIZE:
         raise ValueError(
@@ -306,13 +308,16 @@ def compare_report(
     The exhaustive route asserts exact rational equality; the Monte Carlo
     route reports z-scores against the simulation's standard errors. With
     ``method="auto"`` the exhaustive route is taken whenever the instance
-    fits the enumeration budget.
+    fits the enumeration budget. ``trials``, ``seed`` and ``threads`` are
+    checked as ``monte_carlo`` checks them, whichever route runs.
     """
     if method not in ("auto", "exhaustive", "monte-carlo"):
         raise ValueError(f"unknown comparison method {method!r}")
     threads = _as_index(threads, "threads", 1)
     max_order = _as_index(max_order, "max_order", 1)
     budget = _as_index(budget, "budget")
+    trials = _as_index(trials, "trials", 1)
+    seed = _as_index(seed, "seed", 0, _MAX_SEED)
     if method == "auto":
         method = (
             "exhaustive"

@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from occukit import render
 from occukit.cli import main
 from occukit.core import Params
-from occukit.inequality import check_inequality
+from occukit.inequality import GridSpec, check_inequality, grid_search, summarize_sweep
 from occukit.moments import TailMode
 from occukit.oracle import monte_carlo
 from occukit.render import (
@@ -213,6 +214,48 @@ def test_inequality_search_csv(capsys, tmp_path):
         )
 
 
+# Small versions of README's grid and of the grids the stream was checked on
+# byte for byte: every class, full-size draws, r = 1 and violations.
+_STREAM_GRIDS = {
+    "readme": GridSpec((3, 4, 5), (1, 2, 3), (2,)),
+    "p-all": GridSpec((3, 4, 5), (1, 2, 3), (2,), p_policy="all"),
+    "full-m-uniform": GridSpec((3, 4, 5), (1, 2, 3), (2,), m_policy="uniform",
+                               p_policy="all", include_full_m=True),
+    "relaxed-r1-4": GridSpec((4, 5), (1, 2), (1, 2, 3, 4), p_policy="relaxed"),
+    "violating": GridSpec((4,), (2, 3), (3, 4), p_policy="all"),
+}
+
+
+def _search_argv(grid: GridSpec, fmt: str) -> list[str]:
+    argv = ["inequality", "search", "--format", fmt,
+            "--m-policy", grid.m_policy, "--p-policy", grid.p_policy]
+    for flag, values in (("--n", grid.n_values), ("--T", grid.T_values),
+                         ("--r", grid.r_values)):
+        argv += [flag, ",".join(map(str, values))]
+    return argv + ["--include-full-m"] * grid.include_full_m
+
+
+@pytest.mark.parametrize("grid", _STREAM_GRIDS.values(), ids=_STREAM_GRIDS.keys())
+def test_search_stream_matches_per_verdict_render(capsys, grid):
+    """The stream renders each class once and splices in each point's own
+    fields; its bytes must equal rendering every verdict on its own."""
+    verdicts = list(grid_search(grid))
+    summary = json.dumps(render.summary_json_dict(summarize_sweep(grid_search(grid))))
+    assert main(_search_argv(grid, "jsonl")) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        *(json.dumps(render.verdict_json_dict(v)) for v in verdicts), summary
+    ]
+    assert main(_search_argv(grid, "csv")) == 0
+    captured = capsys.readouterr()
+    expected = io.StringIO()
+    writer = csv.writer(expected)
+    writer.writerow(VERDICT_CSV_COLUMNS)
+    writer.writerows(verdict_csv_row(v) for v in verdicts)
+    assert captured.out == expected.getvalue()
+    assert captured.err == summary + "\n"
+
+
 def test_inequality_reduce_commands(capsys):
     code, payload = _run_json(
         capsys,
@@ -275,6 +318,12 @@ def test_compare_command(capsys):
     assert code == 0
     assert payload["method"] == "exhaustive"
     assert all(row["equal"] for row in payload["rows"])
+    # sampler flags are checked on the exhaustive route too, as simulate does
+    for flags, message in ((["--trials", "0"], "trials"), (["--seed", "-1"], "seed")):
+        assert main(["compare", "--n", "5", "--m", "2,3", "--t", "1", "--mode",
+                     "exact", *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
 
 
 def test_config_file_merging(capsys, tmp_path):

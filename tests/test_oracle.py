@@ -213,3 +213,22 @@ def test_compare_report_method_validation():
         compare_report(P53, 1, TailMode.EXACTLY, 0, method="exhaustive")
     with pytest.raises(TypeError, match="max_order"):
         compare_report(P53, 1, TailMode.EXACTLY, max_order=True, method="exhaustive")
+
+
+@pytest.mark.parametrize("method", ["auto", "exhaustive", "monte-carlo"])
+@pytest.mark.parametrize(
+    "kwargs, error",
+    [
+        ({"trials": 2.5}, TypeError),
+        ({"trials": 0}, ValueError),
+        ({"seed": True}, TypeError),
+        ({"seed": -1}, ValueError),
+        ({"seed": 1 << 128}, ValueError),
+    ],
+    ids=["trials-float", "trials-0", "seed-bool", "seed-negative", "seed-2**128"],
+)
+def test_compare_report_checks_sampler_args_on_every_route(method, kwargs, error):
+    # the exhaustive route never samples, but bad sampler arguments are
+    # still bad input, as they are for monte_carlo
+    with pytest.raises(error, match="trials" if "trials" in kwargs else "seed"):
+        compare_report(P53, 1, TailMode.EXACTLY, 2, method=method, **kwargs)
