@@ -47,7 +47,13 @@ class TailMode(enum.Enum):
 
 
 def threshold_sizes(T: int, t: int, mode: TailMode) -> frozenset[int]:
-    """Admissible pattern sizes for threshold ``t``: {t} or {t, ..., T}."""
+    """Admissible pattern sizes for threshold ``t``: {t} or {t, ..., T}.
+
+    ``mode`` must be a :class:`TailMode`; anything else (such as the string
+    ``"exact"``) raises ``TypeError`` rather than being read as at-least.
+    """
+    if not isinstance(mode, TailMode):
+        raise TypeError(f"mode must be a TailMode, got {mode!r}")
     t = _as_index(t, "threshold t", 1, T)
     if mode is TailMode.EXACTLY:
         return frozenset((t,))

@@ -64,6 +64,49 @@ def exhaustive_outcome_count(params: Params) -> int:
     return out
 
 
+# A chunk of the enumeration holds at most this many (tuple, element) cover
+# cells, which bounds its working memory whatever the instance.
+_CHUNK_CELLS = 1 << 16
+
+
+def _incidence(n: int, m: int, dtype: np.dtype) -> np.ndarray:
+    """One row per ``m``-subset of ``range(n)``, in ``itertools.combinations``
+    order, with 1 at the subset's elements and 0 elsewhere."""
+    count = binomial(n, m)
+    members = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(n), m)),
+        dtype=np.intp, count=count * m,
+    ).reshape(count, m)
+    rows = np.zeros((count, n), dtype=dtype)
+    rows[np.arange(count)[:, None], members] = 1
+    return rows
+
+
+def _histogram_weights(n: int, T: int, rows: int) -> tuple[list[np.ndarray], int]:
+    """Per-class weights that pack coverage histograms into exact int64 keys.
+
+    The classes ``0..T`` are cut into groups of ``width`` consecutive classes.
+    A group's table maps class ``lo + j`` to ``(n+1)**j`` and every other
+    class to 0, so summing it over one tuple's covers gives
+    ``sum h_c (n+1)**(c-lo)``. That sum is below ``span = (n+1)**width``,
+    since the ``h_c`` are at most ``n`` in total, so it determines the
+    group's counts. Each later group's key is joined to the rank, below
+    ``rows``, of the keys before it as ``rank * span + key``; ``width`` is
+    the largest with ``rows * span <= 2**63``, so no key overflows.
+    """
+    span, width = n + 1, 1
+    while rows * span * (n + 1) <= 1 << 63:
+        span *= n + 1
+        width += 1
+    weights = []
+    for lo in range(0, T + 1, width):
+        table = np.zeros(T + 1, dtype=np.int64)
+        for c in range(lo, min(lo + width, T + 1)):
+            table[c] = (n + 1) ** (c - lo)
+        weights.append(table)
+    return weights, span
+
+
 # One instance's tally at a time: its callers finish every threshold and mode
 # of one instance before the next, and a tally can hold many histograms.
 @lru_cache(maxsize=1)
@@ -73,20 +116,53 @@ def _coverage_profile_counts(params: Params) -> dict[tuple[int, ...], int]:
     For each tuple of draws, ``hist[c]`` is the number of population elements
     covered exactly ``c`` times; the map sends each histogram to how many
     tuples realise it. Every pmf of this instance derives from the tally.
+
+    The enumeration is literal. It walks the flat tuple index
+    ``0 .. prod C(n, m_i) - 1`` in chunks of at most ``_CHUNK_CELLS // n``
+    tuples, decodes each index in mixed radix (last draw fastest) into one
+    subset per draw, and sums those subsets' incidence rows into the tuple's
+    cover. Each tuple's histogram is packed into an exact integer key, and
+    the chunk's distinct keys are counted.
     """
     n, T = params.n, params.T
-    per_draw = [list(itertools.combinations(range(n), m_i)) for m_i in params.m]
+    by_size = {m: _incidence(n, m, np.min_scalar_type(T)) for m in set(params.m)}
+    draws = [by_size[m] for m in reversed(params.m)]
+    total = exhaustive_outcome_count(params)
+    rows = min(total, max(1, _CHUNK_CELLS // n))
+    weights, span = _histogram_weights(n, T, rows)
+    # Reused by every chunk: a fresh array this size costs page faults.
+    weighted = np.empty((n, rows), dtype=np.int64)
     tally: dict[tuple[int, ...], int] = {}
-    for combo in itertools.product(*per_draw):
-        cover = [0] * n
-        for subset in combo:
-            for e in subset:
-                cover[e] += 1
-        hist = [0] * (T + 1)
-        for c in cover:
-            hist[c] += 1
-        key = tuple(hist)
-        tally[key] = tally.get(key, 0) + 1
+    for start in range(0, total, rows):
+        index = np.arange(start, min(start + rows, total), dtype=np.int64)
+        cover = None
+        for incidence in draws:
+            index, subset = np.divmod(index, len(incidence))
+            picked = np.take(incidence, subset, axis=0)
+            if cover is None:
+                cover = picked
+            else:
+                cover += picked
+        cover = np.ascontiguousarray(cover.T)  # one row per element
+        key = None
+        for table in weights:
+            # No cover exceeds T, so "clip" changes nothing; it is faster.
+            out = weighted[:, : cover.shape[1]]
+            part = np.take(table, cover, mode="clip", out=out).sum(axis=0)
+            key = part if key is None else (
+                np.unique(key, return_inverse=True)[1] * span + part
+            )
+        keys, counts = np.unique(key, return_counts=True)
+        # Every tuple of a key has the same histogram; read it off any one.
+        example = np.empty(len(keys), dtype=np.intp)
+        example[np.searchsorted(keys, key)] = np.arange(len(key))
+        offsets = (T + 1) * np.arange(len(keys))
+        hists = np.bincount(
+            (cover[:, example] + offsets).ravel(order="F"),
+            minlength=(T + 1) * len(keys),
+        ).reshape(len(keys), T + 1)
+        for hist, tuples in zip(map(tuple, hists.tolist()), counts.tolist()):
+            tally[hist] = tally.get(hist, 0) + tuples
     return tally
 
 

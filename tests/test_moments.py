@@ -11,7 +11,7 @@ from occukit.moments import (
     raw_moment,
     threshold_sizes,
 )
-from occukit.oracle import exhaustive_pmf
+from occukit.oracle import compare_report, exhaustive_pmf, monte_carlo
 
 P53 = Params(5, (2, 3))
 
@@ -33,6 +33,25 @@ def test_threshold_sizes():
     for bad in (0, 4, -1):
         with pytest.raises(ValueError):
             threshold_sizes(3, bad, TailMode.EXACTLY)
+
+
+@pytest.mark.parametrize("mode", ["exact", "atleast", None, 1], ids=repr)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda mode: raw_moment(P53, 1, mode, 1),
+        lambda mode: moment_report(P53, 1, mode),
+        lambda mode: exhaustive_pmf(P53, 1, mode),
+        lambda mode: monte_carlo(P53, 1, mode, 10, 0),
+        lambda mode: compare_report(P53, 1, mode),
+    ],
+    ids=["raw_moment", "moment_report", "exhaustive_pmf", "monte_carlo",
+         "compare_report"],
+)
+def test_mode_must_be_a_tail_mode(call, mode):
+    # "exact" used to be read as at-least: raw_moment gave 19/5, not 13/5
+    with pytest.raises(TypeError, match="TailMode"):
+        call(mode)
 
 
 def test_raw_moment_values():

@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +18,79 @@ from occukit.oracle import (
 )
 
 P53 = Params(5, (2, 3))
+
+
+def _literal_tally(params):
+    """The enumerator's tally, one draw tuple at a time in plain Python."""
+    n, T = params.n, params.T
+    per_draw = [list(itertools.combinations(range(n), m_i)) for m_i in params.m]
+    tally = {}
+    for combo in itertools.product(*per_draw):
+        cover = [0] * n
+        for subset in combo:
+            for e in subset:
+                cover[e] += 1
+        hist = [0] * (T + 1)
+        for c in cover:
+            hist[c] += 1
+        key = tuple(hist)
+        tally[key] = tally.get(key, 0) + 1
+    return tally
+
+
+# The sampler-vs-pmf instances, Params(1, (1,)), T = 1, and m_i = n among
+# other draws (every cover shifted by one per full draw).
+TALLY_CASES = [
+    Params(6, (2, 3, 5, 1)), Params(8, (3, 4, 4)), Params(7, (7, 2)),
+    Params(4, (2,)), Params(1, (1,)), Params(5, (3,)), Params(4, (4, 1, 4, 2)),
+]
+
+
+def test_tally_matches_literal_enumeration():
+    family = [
+        Params(n, m)
+        for n in range(2, 7)
+        for T in range(1, 4)
+        for m in itertools.product(range(1, n), repeat=T)
+    ]
+    for params in family + TALLY_CASES:
+        assert oracle._coverage_profile_counts.__wrapped__(params) == (
+            _literal_tally(params)
+        ), params
+
+
+@pytest.mark.parametrize(
+    "params",
+    # 7 tuples a chunk: 500 = 71 * 7 + 3 and 243 = 34 * 7 + 5 leave a
+    # partial last chunk; T = 65 also splits the histogram key into groups.
+    [Params(5, (2, 3, 1)), Params(3, (1,) * 5 + (3,) * 60)],
+    ids=["partial-last-chunk", "grouped-keys"],
+)
+def test_tally_matches_literal_enumeration_across_chunks(monkeypatch, params):
+    monkeypatch.setattr(oracle, "_CHUNK_CELLS", 7 * params.n)
+    assert oracle._coverage_profile_counts.__wrapped__(params) == (
+        _literal_tally(params)
+    )
+
+
+def test_exhaustive_pmf_keys_are_exact_for_many_draws():
+    # One tuple; its histogram (0, ..., 0, 2) would pack to 2 * 3**70 as one
+    # base-(n+1) number, far beyond int64.
+    pmf = exhaustive_pmf(Params(2, (2,) * 70), 70, TailMode.EXACTLY)
+    assert pmf.probabilities == {2: 1}
+    assert pmf.outcome_count == 1
+
+
+def test_tally_memory_is_bounded_by_the_chunk():
+    # The whole (889,056 x 9) cover matrix alone would take 8 MB.
+    tally = oracle._coverage_profile_counts.__wrapped__
+    tracemalloc.start()
+    try:
+        tally(Params(9, (3, 3, 4)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
 
 
 def test_exhaustive_pmf_overlap_case():
