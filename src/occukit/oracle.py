@@ -69,17 +69,15 @@ def exhaustive_outcome_count(params: Params) -> int:
 _CHUNK_CELLS = 1 << 16
 
 
-def _incidence(n: int, m: int, dtype: np.dtype) -> np.ndarray:
-    """One row per ``m``-subset of ``range(n)``, in ``itertools.combinations``
-    order, with 1 at the subset's elements and 0 elsewhere."""
+def _subsets(n: int, m: int) -> np.ndarray:
+    """The ``m``-subsets of ``range(n)`` in ``itertools.combinations`` order,
+    one per column of an ``(m, C(n, m))`` array of element indices."""
     count = binomial(n, m)
     members = np.fromiter(
         itertools.chain.from_iterable(itertools.combinations(range(n), m)),
         dtype=np.intp, count=count * m,
-    ).reshape(count, m)
-    rows = np.zeros((count, n), dtype=dtype)
-    rows[np.arange(count)[:, None], members] = 1
-    return rows
+    )
+    return np.ascontiguousarray(members.reshape(count, m).T)
 
 
 def _histogram_weights(n: int, T: int, rows: int) -> tuple[list[np.ndarray], int]:
@@ -120,34 +118,36 @@ def _coverage_profile_counts(params: Params) -> dict[tuple[int, ...], int]:
     The enumeration is literal. It walks the flat tuple index
     ``0 .. prod C(n, m_i) - 1`` in chunks of at most ``_CHUNK_CELLS // n``
     tuples, decodes each index in mixed radix (last draw fastest) into one
-    subset per draw, and sums those subsets' incidence rows into the tuple's
-    cover. Each tuple's histogram is packed into an exact integer key, and
-    the chunk's distinct keys are counted.
+    subset per draw, and adds one to the tuple's cover of each member of
+    each of those subsets. Each tuple's histogram is packed into an exact
+    integer key, and the chunk's distinct keys are counted.
     """
     n, T = params.n, params.T
-    by_size = {m: _incidence(n, m, np.min_scalar_type(T)) for m in set(params.m)}
+    by_size = {m: _subsets(n, m) for m in set(params.m)}
     draws = [by_size[m] for m in reversed(params.m)]
     total = exhaustive_outcome_count(params)
     rows = min(total, max(1, _CHUNK_CELLS // n))
     weights, span = _histogram_weights(n, T, rows)
+    counts_dtype = np.min_scalar_type(T)
     # Reused by every chunk: a fresh array this size costs page faults.
     weighted = np.empty((n, rows), dtype=np.int64)
     tally: dict[tuple[int, ...], int] = {}
     for start in range(0, total, rows):
         index = np.arange(start, min(start + rows, total), dtype=np.int64)
-        cover = None
-        for incidence in draws:
-            index, subset = np.divmod(index, len(incidence))
-            picked = np.take(incidence, subset, axis=0)
-            if cover is None:
-                cover = picked
-            else:
-                cover += picked
-        cover = np.ascontiguousarray(cover.T)  # one row per element
+        size = len(index)
+        # cover[e, j]: how many of tuple j's subsets hold element e
+        cover = np.zeros(n * size, dtype=counts_dtype)
+        for members in draws:
+            index, subset = np.divmod(index, members.shape[1])
+            cells = np.take(members, subset, axis=1)
+            cells *= size
+            cells += np.arange(size)
+            cover[cells] += 1  # a subset holds each element at most once
+        cover = cover.reshape(n, size)
         key = None
         for table in weights:
             # No cover exceeds T, so "clip" changes nothing; it is faster.
-            out = weighted[:, : cover.shape[1]]
+            out = weighted[:, :size]
             part = np.take(table, cover, mode="clip", out=out).sum(axis=0)
             key = part if key is None else (
                 np.unique(key, return_inverse=True)[1] * span + part
