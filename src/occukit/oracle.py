@@ -116,7 +116,7 @@ def _coverage_profile_counts(params: Params) -> dict[tuple[int, ...], int]:
     tuples realise it. Every pmf of this instance derives from the tally.
 
     The enumeration is literal. It walks the flat tuple index
-    ``0 .. prod C(n, m_i) - 1`` in chunks of at most ``_CHUNK_CELLS // n``
+    ``0 .. prod C(n, m_i) - 1`` in chunks of ``max(1, _CHUNK_CELLS // n)``
     tuples, decodes each index in mixed radix (last draw fastest) into one
     subset per draw, and adds one to the tuple's cover of each member of
     each of those subsets. Each tuple's histogram is packed into an exact
