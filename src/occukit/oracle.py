@@ -80,31 +80,6 @@ def _subsets(n: int, m: int) -> np.ndarray:
     return np.ascontiguousarray(members.reshape(count, m).T)
 
 
-def _histogram_weights(n: int, T: int, rows: int) -> tuple[list[np.ndarray], int]:
-    """Per-class weights that pack coverage histograms into exact int64 keys.
-
-    The classes ``0..T`` are cut into groups of ``width`` consecutive classes.
-    A group's table maps class ``lo + j`` to ``(n+1)**j`` and every other
-    class to 0, so summing it over one tuple's covers gives
-    ``sum h_c (n+1)**(c-lo)``. That sum is below ``span = (n+1)**width``,
-    since the ``h_c`` are at most ``n`` in total, so it determines the
-    group's counts. Each later group's key is joined to the rank, below
-    ``rows``, of the keys before it as ``rank * span + key``; ``width`` is
-    the largest with ``rows * span <= 2**63``, so no key overflows.
-    """
-    span, width = n + 1, 1
-    while rows * span * (n + 1) <= 1 << 63:
-        span *= n + 1
-        width += 1
-    weights = []
-    for lo in range(0, T + 1, width):
-        table = np.zeros(T + 1, dtype=np.int64)
-        for c in range(lo, min(lo + width, T + 1)):
-            table[c] = (n + 1) ** (c - lo)
-        weights.append(table)
-    return weights, span
-
-
 # One instance's tally at a time: its callers finish every threshold and mode
 # of one instance before the next, and a tally can hold many histograms.
 @lru_cache(maxsize=1)
@@ -119,18 +94,17 @@ def _coverage_profile_counts(params: Params) -> dict[tuple[int, ...], int]:
     ``0 .. prod C(n, m_i) - 1`` in chunks of ``max(1, _CHUNK_CELLS // n)``
     tuples, decodes each index in mixed radix (last draw fastest) into one
     subset per draw, and adds one to the tuple's cover of each member of
-    each of those subsets. Each tuple's histogram is packed into an exact
-    integer key, and the chunk's distinct keys are counted.
+    each of those subsets. Each tuple's covers are binned into its histogram,
+    and the chunk's histograms are sorted so that equal ones form a run; runs
+    compare histograms class by class, so the count is exact whatever T is.
     """
     n, T = params.n, params.T
     by_size = {m: _subsets(n, m) for m in set(params.m)}
     draws = [by_size[m] for m in reversed(params.m)]
     total = exhaustive_outcome_count(params)
     rows = min(total, max(1, _CHUNK_CELLS // n))
-    weights, span = _histogram_weights(n, T, rows)
     counts_dtype = np.min_scalar_type(T)
-    # Reused by every chunk: a fresh array this size costs page faults.
-    weighted = np.empty((n, rows), dtype=np.int64)
+    hist_dtype = np.min_scalar_type(n)
     tally: dict[tuple[int, ...], int] = {}
     for start in range(0, total, rows):
         index = np.arange(start, min(start + rows, total), dtype=np.int64)
@@ -144,24 +118,18 @@ def _coverage_profile_counts(params: Params) -> dict[tuple[int, ...], int]:
             cells += np.arange(size)
             cover[cells] += 1  # a subset holds each element at most once
         cover = cover.reshape(n, size)
-        key = None
-        for table in weights:
-            # No cover exceeds T, so "clip" changes nothing; it is faster.
-            out = weighted[:, :size]
-            part = np.take(table, cover, mode="clip", out=out).sum(axis=0)
-            key = part if key is None else (
-                np.unique(key, return_inverse=True)[1] * span + part
-            )
-        keys, counts = np.unique(key, return_counts=True)
-        # Every tuple of a key has the same histogram; read it off any one.
-        example = np.empty(len(keys), dtype=np.intp)
-        example[np.searchsorted(keys, key)] = np.arange(len(key))
-        offsets = (T + 1) * np.arange(len(keys))
+        # hists[j, c]: how many elements tuple j covers exactly c times
+        offsets = (T + 1) * np.arange(size)
         hists = np.bincount(
-            (cover[:, example] + offsets).ravel(order="F"),
-            minlength=(T + 1) * len(keys),
-        ).reshape(len(keys), T + 1)
-        for hist, tuples in zip(map(tuple, hists.tolist()), counts.tolist()):
+            (cover + offsets).ravel(), minlength=(T + 1) * size
+        ).reshape(size, T + 1).astype(hist_dtype)
+        hists = hists[np.lexsort(hists.T)]
+        # A run of equal histograms starts wherever a row differs from the last.
+        first = np.ones(size, dtype=bool)
+        np.any(hists[1:] != hists[:-1], axis=1, out=first[1:])
+        (starts,) = np.nonzero(first)
+        counts = np.diff(starts, append=size)
+        for hist, tuples in zip(map(tuple, hists[starts].tolist()), counts.tolist()):
             tally[hist] = tally.get(hist, 0) + tuples
     return tally
 

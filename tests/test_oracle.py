@@ -38,11 +38,13 @@ def _literal_tally(params):
     return tally
 
 
-# The sampler-vs-pmf instances, Params(1, (1,)), T = 1, and m_i = n among
-# other draws (every cover shifted by one per full draw).
+# The sampler-vs-pmf instances, Params(1, (1,)), T = 1, m_i = n among
+# other draws (every cover shifted by one per full draw), and a histogram
+# count above 255.
 TALLY_CASES = [
     Params(6, (2, 3, 5, 1)), Params(8, (3, 4, 4)), Params(7, (7, 2)),
     Params(4, (2,)), Params(1, (1,)), Params(5, (3,)), Params(4, (4, 1, 4, 2)),
+    Params(257, (1,)),
 ]
 
 
@@ -62,9 +64,9 @@ def test_tally_matches_literal_enumeration():
 @pytest.mark.parametrize(
     "params",
     # 7 tuples a chunk: 500 = 71 * 7 + 3 and 243 = 34 * 7 + 5 leave a
-    # partial last chunk; T = 65 also splits the histogram key into groups.
+    # partial last chunk; T = 65 also sorts histograms of 66 classes.
     [Params(5, (2, 3, 1)), Params(3, (1,) * 5 + (3,) * 60)],
-    ids=["partial-last-chunk", "grouped-keys"],
+    ids=["partial-last-chunk", "long-histograms"],
 )
 def test_tally_matches_literal_enumeration_across_chunks(monkeypatch, params):
     monkeypatch.setattr(oracle, "_CHUNK_CELLS", 7 * params.n)
@@ -73,12 +75,20 @@ def test_tally_matches_literal_enumeration_across_chunks(monkeypatch, params):
     )
 
 
-def test_exhaustive_pmf_keys_are_exact_for_many_draws():
-    # One tuple; its histogram (0, ..., 0, 2) would pack to 2 * 3**70 as one
-    # base-(n+1) number, far beyond int64.
-    pmf = exhaustive_pmf(Params(2, (2,) * 70), 70, TailMode.EXACTLY)
-    assert pmf.probabilities == {2: 1}
-    assert pmf.outcome_count == 1
+@pytest.mark.parametrize(
+    "params",
+    # One tuple each. As one base-(n+1) number, (0, ..., 0, n) is n * (n+1)**T,
+    # far beyond int64; where n + 1 is a power of two, int64 groups of
+    # base-(n+1) digits can end exactly at 2**63.
+    [Params(2, (2,) * 70), Params(1, (1,) * 63), Params(7, (7,) * 21),
+     Params(127, (127,) * 9)],
+    ids=lambda p: f"n={p.n}-T={p.T}",
+)
+def test_exhaustive_pmf_keys_are_exact_for_many_draws(params):
+    for mode in TailMode:
+        pmf = exhaustive_pmf(params, params.T, mode)
+        assert pmf.probabilities == {params.n: 1}
+        assert pmf.outcome_count == 1
 
 
 def test_tally_memory_is_bounded_by_the_chunk():
