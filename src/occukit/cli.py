@@ -297,47 +297,26 @@ _SWEEP_TEXT: dict[str, tuple[Callable, Callable, Callable]] = {
 }
 
 
-class _StreamedClass:
-    """One symmetry class of a block, as the stream meets it: its margin
-    numerator over the block's one denominator, the verdict of its first
-    point in grid order, its shared fields as the stream's format writes
-    them, and how many of its points have been streamed."""
-
-    __slots__ = ("num", "verdict", "tail", "points")
-
-    def __init__(self, num: int, verdict: InequalityVerdict, tail: str):
-        self.num, self.verdict, self.tail, self.points = num, verdict, tail, 0
-
-
 def _stream_block(
     sink: TextIO, fmt: str, grid: GridSpec, block: tuple, summary: SweepSummary,
 ) -> None:
-    """Write one (n, T, r) block's points in grid order and fold them into
-    ``summary``: one ``_count`` per class for the points streamed, and the
-    block minimum found among integer numerators, strict ``<`` over the
-    classes in the grid order of their first points. ``first_violations``
-    is never rendered, so it stays empty."""
+    """Write one (n, T, r) block's points in grid order, each symmetry
+    class's shared fields rendered once, and fold the block's classes into
+    ``summary``. ``first_violations`` is never rendered, so it stays
+    empty."""
     head, cell, tail = _SWEEP_TEXT[fmt]
-    n, T, r, p_list = block
-    classes: list[_StreamedClass] = []
+    n, T, r, p_list, _, _ = block
+    classes: list[tuple] = []
 
-    def record(verdict: InequalityVerdict, num: int) -> _StreamedClass:
-        classes.append(_StreamedClass(num, verdict, tail(verdict)))
-        return classes[-1]
+    def record(cls: tuple, verdict: InequalityVerdict) -> str:
+        classes.append(cls)
+        return tail(verdict)
 
     cells = [cell(p) for p, _, _ in p_list]
     for m, row in _block_rows(grid, block, record):
         lead = head(n, T, r, m)
-        sink.write("".join([lead + text + cls.tail for text, cls in zip(cells, row)]))
-        for cls in row:
-            cls.points += 1
-    low = classes[0]
-    for cls in classes:
-        summary._count(cls.verdict.proximity.value, cls.verdict.holds, cls.points)
-        if cls.num < low.num:
-            low = cls
-    at = low.verdict
-    summary._minimum(at.margin, (n, at.params.m, at.p))
+        sink.write("".join([lead + text + shared for text, shared in zip(cells, row)]))
+    summary._add_block(block, classes)
 
 
 def _cmd_search(args: argparse.Namespace) -> int:

@@ -445,6 +445,22 @@ def weight_sum_dp(params: Params, spec: SpecLike) -> int:
     return sum(states.values())
 
 
+# A dense walk keeps up to T + 1 tables of (T+1)^r cells. The largest walk in
+# the tests holds 14^4 cells; 2^22 keeps a walk's lists within tens of MB.
+TABLE_CELL_LIMIT = 1 << 22
+
+
+def _check_table_cells(T: int, r: int) -> None:
+    """Raise ``ValueError`` when a dense walk of ``r`` slots over ``T``
+    draws could hold more than ``TABLE_CELL_LIMIT`` cells at once."""
+    cells = (T + 1) ** (r + 1)
+    if cells > TABLE_CELL_LIMIT:
+        raise ValueError(
+            f"a weight-sum table walk with T={T} draws and r={r} slots keeps "
+            f"up to {cells} cells alive, above the limit of {TABLE_CELL_LIMIT}"
+        )
+
+
 def _draw_step(
     table: list[int], n: int, size: int, r: int, offsets: list[tuple[int, int]]
 ) -> list[int]:
@@ -501,9 +517,12 @@ def weight_sum_table(params: Params, r: int) -> dict[tuple[int, ...], int]:
 
     One dense forward DP over the draws (the walk of ``_prefix_tables`` over
     one vector); the returned mapping covers all ``(T+1)^r`` size vectors
-    (zero entries included), the first slot's size varying fastest.
+    (zero entries included), the first slot's size varying fastest. Raises
+    ``ValueError`` before allocating when the walk would exceed
+    ``TABLE_CELL_LIMIT`` cells.
     """
     r = _as_index(r, "r", 0)
+    _check_table_cells(params.T, r)
     sizes = [
         p[::-1] for p in itertools.product(range(params.T + 1), repeat=r)
     ]

@@ -35,13 +35,14 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from .combinat import falling_factorial, iter_k_subsets
 # weight_sum_table is not called here; perfbench/tracing.py wraps this name.
 from .core import (
-    Params, SizeSpec, _as_index, _prefix_tables, occupancy_norm, pattern_weight,
-    weight_sum_table,
+    Params, SizeSpec, _as_index, _check_table_cells, _prefix_tables,
+    occupancy_norm, pattern_weight, weight_sum_table,
 )
 
 
@@ -138,6 +139,8 @@ class GridSpec:
     the proximity classes swept: ``all-equal`` (spread 0), ``proximity``
     (spread <= 1, the conservative class), ``relaxed`` (spread <=
     max(1, r-2), adding the relaxed class), or ``all`` (every class).
+    A grid whose largest ``T`` and ``r`` make a table walk exceed
+    ``core.TABLE_CELL_LIMIT`` cells is rejected.
     """
 
     n_values: tuple[int, ...]
@@ -170,6 +173,7 @@ class GridSpec:
             )
         if not self.include_full_m and min(self.n_values) < 2:
             raise ValueError("n=1 leaves no admissible draw sizes below n")
+        _check_table_cells(max(self.T_values), max(self.r_values))
 
 
 def _m_vectors(grid: GridSpec, n: int, T: int) -> Iterator[tuple[int, ...]]:
@@ -213,88 +217,87 @@ def _p_vectors(grid: GridSpec, T: int, r: int) -> Iterator[tuple[int, ...]]:
             yield vec
 
 
-def _denominators(n: int, T: int, r: int) -> tuple[int, int]:
-    """``n^(r(T-1))`` and ``((n)_r)^(T-1)``, the denominators of the two
-    sides in an (n, T, r) block; a margin's is their product."""
-    return n ** (r * (T - 1)), falling_factorial(n, r) ** (T - 1)
-
-
-def _class_sides(
-    n: int, T: int, r: int, m_sorted: list[tuple[int, ...]],
-    p_keys: list[tuple[int, ...]],
-) -> Iterator[list[tuple[int, int, int]]]:
-    """Integer sides of the inequality per (sorted m, sorted p) class.
-
-    Both sides are invariant under permuting the draw sizes (relabelling
-    draw indices) and the slot sizes (independent slots), so one exact
-    computation per sorted (m, p) pair serves its whole symmetry class.
-    For each vector of ``m_sorted``, in the order given (ascending, so the
-    table walks share prefixes), yields ``(L, G, num)`` per entry of
-    ``p_keys``: ``L = prod G_1(p_j)`` and ``G = G_r(p)``, so that
-    ``lhs = L / n^(r(T-1))``, ``rhs = G / ((n)_r)^(T-1)`` and the margin is
-    ``num`` over the product of both denominators.
-    """
-    den_lhs, den_rhs = _denominators(n, T, r)
-    singles = _prefix_tables(n, T, 1, m_sorted, [(v,) for v in range(T + 1)])
-    joints = _prefix_tables(n, T, r, m_sorted, p_keys)
-    for single, joint in zip(singles, joints):
-        out = []
-        for p, rhs in zip(p_keys, joint):
-            lhs = 1
-            for v in p:
-                lhs *= single[v]
-            out.append((lhs, rhs, lhs * den_rhs - rhs * den_lhs))
-        yield out
-
-
 def _blocks(grid: GridSpec) -> Iterator[tuple]:
-    """Every (n, T, r) block in grid order, as ``(n, T, r, p_list)`` with the
-    block's ``(p, sorted p, class)`` triples in order. Each block's margins
-    come from its own table walks (``_class_sides``)."""
+    """Every (n, T, r) block in grid order, as ``(n, T, r, p_list, den_lhs,
+    den_rhs)``: the block's ``(p, sorted p, class)`` triples in order, then
+    ``n^(r(T-1))`` and ``((n)_r)^(T-1)``, the denominators of the two sides
+    in the block; a margin's is their product."""
     for n in grid.n_values:
         for T in grid.T_values:
             for r in grid.r_values:
-                yield n, T, r, [
+                p_list = [
                     (p, tuple(sorted(p)), classify_sizes(p))
                     for p in _p_vectors(grid, T, r)
                 ]
+                yield (n, T, r, p_list, n ** (r * (T - 1)),
+                       falling_factorial(n, r) ** (T - 1))
+
+
+def _block_classes(grid: GridSpec, block: tuple) -> Iterator[tuple]:
+    """The block's (sorted m, sorted p) symmetry classes, each as ``(m, p,
+    proximity, weight, L, G, num)``: the one walk of the block's tables.
+
+    Both sides of the inequality are invariant under permuting the draw
+    sizes (relabelling draw indices) and the slot sizes (independent slots),
+    so one exact computation serves a whole class. Classes come in
+    ascending order of m, then of p (ascending m vectors let the table walks
+    share prefixes); each is the lexicographically first point of its
+    orbit. ``weight`` counts the class's grid points: the sorted m's orbit
+    (``T!/prod mult!`` under ``mixed``, 1 under ``uniform``) times the block
+    p vectors that sort to p. ``L = prod G_1(p_j)`` and ``G = G_r(p)``, so
+    that ``lhs = L / den_lhs``, ``rhs = G / den_rhs`` and the margin is
+    ``num`` over ``den_lhs * den_rhs``.
+    """
+    n, T, r, p_list, den_lhs, den_rhs = block
+    counts = sorted(Counter(p_sorted for _, p_sorted, _ in p_list).items())
+    p_classes = [(p, classify_sizes(p), count) for p, count in counts]
+    m_classes = _m_classes(grid, n, T)
+    m_sorted = [m for m, _ in m_classes]
+    singles = _prefix_tables(n, T, 1, m_sorted, [(v,) for v in range(T + 1)])
+    joints = _prefix_tables(n, T, r, m_sorted, [p for p, _ in counts])
+    for (m, orbit), single, joint in zip(m_classes, singles, joints):
+        for (p, proximity, count), rhs in zip(p_classes, joint):
+            lhs = 1
+            for v in p:
+                lhs *= single[v]
+            yield (m, p, proximity, orbit * count, lhs, rhs,
+                   lhs * den_rhs - rhs * den_lhs)
 
 
 _R = TypeVar("_R")
 
 
 def _block_rows(
-    grid: GridSpec, block: tuple, record: Callable[[InequalityVerdict, int], _R],
+    grid: GridSpec, block: tuple, record: Callable[[tuple, InequalityVerdict], _R],
 ) -> Iterator[tuple[tuple[int, ...], list[_R]]]:
     """The block's m vectors in grid order, each as ``(m, row)``: ``row[i]``
     is the record of the symmetry class of the point ``(m, p_list[i][0])``.
 
-    A class's record is ``record(verdict, num)``, made once: ``verdict`` is
-    the class's first point in grid order, (sorted m, sorted p), and ``num``
-    its margin's numerator over the block's one denominator. Product order
-    reaches each sorted m vector before any of its permutations, and the
-    sorted vectors in ascending order, so the walk advances exactly at the
-    sorted ones, and ``record`` meets the classes in the grid order of their
-    first points. Later permutations reuse the sorted vector's row.
+    A class's record is ``record(cls, verdict)``, made once: ``cls`` is the
+    class as ``_block_classes`` yields it, and ``verdict`` its first point
+    in grid order, (sorted m, sorted p). Product order reaches each sorted m
+    vector before any of its permutations, and the sorted vectors in
+    ascending order, so the class walk advances exactly at the sorted ones,
+    and ``record`` meets the classes in the order ``_block_classes`` yields
+    them. Later permutations reuse the sorted vector's row.
     """
-    n, T, r, p_list = block
-    p_keys = sorted({p_sorted for _, p_sorted, _ in p_list})
-    sides = _class_sides(n, T, r, [m for m, _ in _m_classes(grid, n, T)], p_keys)
-    den_lhs, den_rhs = _denominators(n, T, r)
+    n, T, r, p_list, den_lhs, den_rhs = block
     den = den_lhs * den_rhs
+    groups = itertools.groupby(_block_classes(grid, block), itemgetter(0))
     rows: dict[tuple[int, ...], list[_R]] = {}
     for m in _m_vectors(grid, n, T):
         key = tuple(sorted(m))
         if m == key:
             params = Params(n, m)
-            records = {
-                p: record(InequalityVerdict(
+            records = {}
+            _, group = next(groups)
+            for cls in group:
+                _, p, proximity, _, lhs, rhs, num = cls
+                records[p] = record(cls, InequalityVerdict(
                     params=params, p=p, lhs=Fraction(lhs, den_lhs),
                     rhs=Fraction(rhs, den_rhs), margin=Fraction(num, den),
-                    holds=num >= 0, proximity=classify_sizes(p),
-                ), num)
-                for p, (lhs, rhs, num) in zip(p_keys, next(sides))
-            }
+                    holds=num >= 0, proximity=proximity,
+                ))
             rows[m] = [records[p_sorted] for _, p_sorted, _ in p_list]
         yield m, rows[key]
 
@@ -302,8 +305,8 @@ def _block_rows(
 def _block_verdicts(grid: GridSpec, block: tuple) -> Iterator[InequalityVerdict]:
     """The block's points in grid order, each its class's verdict moved to
     the point's own m and p."""
-    n, T, r, p_list = block
-    for m, row in _block_rows(grid, block, lambda verdict, num: verdict):
+    n, _, _, p_list, _, _ = block
+    for m, row in _block_rows(grid, block, lambda cls, verdict: verdict):
         params = Params(n, m)
         for (p, _, _), verdict in zip(p_list, row):
             yield InequalityVerdict(params, p, *verdict[2:])
@@ -337,38 +340,17 @@ class _GridSweep:
         stream as it is, once the stream has been started. The summary
         closes the stream, so the sweep reads as consumed afterwards.
 
-        Per (n, T, r) block, each sorted m vector stands for its ``T!/prod
-        mult!`` orderings (1 under ``uniform``), and each sorted p vector
-        for the block's p vectors that sort to it. Classes are visited in
-        ascending order of their sorted tuples, each the lexicographically
-        first member of its orbit, so strict ``<`` picks the same
-        ``min_margin_at`` as the per-point fold, and ``by_class`` keys come
-        out in the same first-seen order. Within a block every margin has
-        one denominator, so margins are compared as integer numerators and
-        only the block minimum becomes a ``Fraction``. Blocks with a
-        violation are walked point by point only while ``first_violations``
-        has room.
+        Each (n, T, r) block's classes are folded by weight
+        (``SweepSummary._add_block``). Blocks with a violation are walked
+        point by point only while ``first_violations`` has room.
         """
         if inspect.getgeneratorstate(self._points) != inspect.GEN_CREATED:
             return None
         self._points.close()
         grid, summary = self.grid, SweepSummary()
         for block in _blocks(grid):
-            n, T, r, p_list = block
-            p_classes = sorted(Counter(
-                (p_sorted, proximity.value) for _, p_sorted, proximity in p_list
-            ).items())
-            p_keys = [p_sorted for (p_sorted, _), _ in p_classes]
-            m_classes = _m_classes(grid, n, T)
-            sides = _class_sides(n, T, r, [m for m, _ in m_classes], p_keys)
             violations_before = summary.violation_count
-            low = low_at = None
-            for (m_sorted, orbit), row in zip(m_classes, sides):
-                for ((p_sorted, name), count), (_, _, num) in zip(p_classes, row):
-                    summary._count(name, num >= 0, orbit * count)
-                    if low is None or num < low:
-                        low, low_at = num, (n, m_sorted, p_sorted)
-            summary._minimum(Fraction(low, math.prod(_denominators(n, T, r))), low_at)
+            summary._add_block(block, _block_classes(grid, block))
             if (summary.violation_count > violations_before
                     and len(summary.first_violations) < 10):
                 for verdict in _block_verdicts(grid, block):
@@ -426,6 +408,24 @@ class SweepSummary:
             self.violations_by_class[name] = (
                 self.violations_by_class.get(name, 0) + weight
             )
+
+    def _add_block(self, block: tuple, classes: Iterable[tuple]) -> None:
+        """Fold in one (n, T, r) block's symmetry classes, in the order and
+        layout ``_block_classes`` yields them: ``_count`` each by weight,
+        and one ``_minimum`` for the block. Every margin of a block has one
+        denominator, so margins are compared as integer numerators and only
+        the block minimum becomes a ``Fraction``. Each class is the
+        lexicographically first point of its orbit and the classes come in
+        ascending order, so strict ``<`` picks the same ``min_margin_at`` as
+        the per-point fold, and ``by_class`` keys come out in the same
+        first-seen order."""
+        n, _, _, _, den_lhs, den_rhs = block
+        low = None
+        for m, p, proximity, weight, _, _, num in classes:
+            self._count(proximity.value, num >= 0, weight)
+            if low is None or num < low:
+                low, at = num, (n, m, p)
+        self._minimum(Fraction(low, den_lhs * den_rhs), at)
 
     def _minimum(self, margin: Fraction, at: tuple) -> None:
         """Fold in ``margin``, first reached in grid order at ``at = (n, m,

@@ -1,14 +1,17 @@
 import csv
 import io
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from occukit import render
 from occukit.cli import main
-from occukit.core import Params
-from occukit.inequality import GridSpec, check_inequality, grid_search, summarize_sweep
+from occukit.core import Params, weight_sum_table
+from occukit.inequality import (
+    GridSpec, _block_classes, _blocks, check_inequality, grid_search, summarize_sweep,
+)
 from occukit.moments import TailMode
 from occukit.oracle import monte_carlo
 from occukit.render import (
@@ -254,6 +257,41 @@ def test_search_stream_matches_per_verdict_render(capsys, grid):
     writer.writerows(verdict_csv_row(v) for v in verdicts)
     assert captured.out == expected.getvalue()
     assert captured.err == summary + "\n"
+
+
+@pytest.mark.parametrize("grid", _STREAM_GRIDS.values(), ids=_STREAM_GRIDS.keys())
+def test_class_weights_count_the_grid_points(grid):
+    """Each (sorted m, sorted p) class of a block comes once, in ascending
+    order, weighted by the number of grid points that sort to it."""
+    points = Counter(
+        (v.params.n, v.params.T, len(v.p), tuple(sorted(v.params.m)), tuple(sorted(v.p)))
+        for v in grid_search(grid)
+    )
+    weights = {}
+    for block in _blocks(grid):
+        classes = list(_block_classes(grid, block))
+        keys = [(m, p) for m, p, *_ in classes]
+        assert keys == sorted(set(keys))
+        weights.update(((*block[:3], m, p), weight) for m, p, _, weight, *_ in classes)
+    assert weights == dict(points)
+
+
+def test_table_walks_beyond_the_cell_limit_are_rejected(capsys):
+    """Nine draws and nine slots would keep up to 10^10 table cells alive:
+    the grid, the search command and weight_sum_table each refuse before
+    allocating any. (T+1)^(r+1) = 2^22 is the largest walk admitted."""
+    with pytest.raises(ValueError, match="cells"):
+        GridSpec((9,), (9,), (9,), m_policy="uniform", p_policy="all-equal")
+    assert main(["inequality", "search", "--n", "9", "--T", "9", "--r", "9",
+                 "--m-policy", "uniform", "--p-policy", "all-equal"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error:") and "Traceback" not in captured.err
+    with pytest.raises(ValueError, match="cells"):
+        weight_sum_table(Params(9, (3,) * 9), 9)
+    GridSpec((11,), (3,), (10,))
+    with pytest.raises(ValueError, match="cells"):
+        GridSpec((11,), (3,), (11,))
 
 
 def test_inequality_reduce_commands(capsys):
