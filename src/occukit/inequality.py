@@ -234,33 +234,32 @@ def _blocks(grid: GridSpec) -> Iterator[tuple]:
 
 
 def _block_classes(grid: GridSpec, block: tuple) -> Iterator[tuple]:
-    """The block's (sorted m, sorted p) symmetry classes, each as ``(m, p,
-    proximity, weight, L, G, num)``: the one walk of the block's tables.
+    """The block's (sorted m, sorted p) symmetry classes, from the one walk
+    of its tables, each as ``(m, p, name, weight, L, G, num)``.
 
-    Both sides of the inequality are invariant under permuting the draw
-    sizes (relabelling draw indices) and the slot sizes (independent slots),
-    so one exact computation serves a whole class. Classes come in
-    ascending order of m, then of p (ascending m vectors let the table walks
-    share prefixes); each is the lexicographically first point of its
-    orbit. ``weight`` counts the class's grid points: the sorted m's orbit
-    (``T!/prod mult!`` under ``mixed``, 1 under ``uniform``) times the block
-    p vectors that sort to p. ``L = prod G_1(p_j)`` and ``G = G_r(p)``, so
-    that ``lhs = L / den_lhs``, ``rhs = G / den_rhs`` and the margin is
-    ``num`` over ``den_lhs * den_rhs``.
+    Both sides are invariant under permuting the draw sizes (relabelling
+    draws) and the slot sizes (independent slots), so one exact computation
+    serves a whole class. Classes come in ascending order of m (so the
+    table walks share prefixes), then of p; each is the lexicographically
+    first point of its orbit. ``name`` is p's proximity class, ``weight``
+    the class's grid points: the sorted m's orbit (``T!/prod mult!`` under
+    ``mixed``, 1 under ``uniform``) times the block p vectors that sort to
+    p. ``L = prod G_1(p_j)`` and ``G = G_r(p)``: ``lhs = L / den_lhs``,
+    ``rhs = G / den_rhs`` and the margin is ``num / (den_lhs * den_rhs)``.
     """
     n, T, r, p_list, den_lhs, den_rhs = block
     counts = sorted(Counter(p_sorted for _, p_sorted, _ in p_list).items())
-    p_classes = [(p, classify_sizes(p), count) for p, count in counts]
+    p_classes = [(p, classify_sizes(p).value, count) for p, count in counts]
     m_classes = _m_classes(grid, n, T)
     m_sorted = [m for m, _ in m_classes]
     singles = _prefix_tables(n, T, 1, m_sorted, [(v,) for v in range(T + 1)])
     joints = _prefix_tables(n, T, r, m_sorted, [p for p, _ in counts])
     for (m, orbit), single, joint in zip(m_classes, singles, joints):
-        for (p, proximity, count), rhs in zip(p_classes, joint):
+        for (p, name, count), rhs in zip(p_classes, joint):
             lhs = 1
             for v in p:
                 lhs *= single[v]
-            yield (m, p, proximity, orbit * count, lhs, rhs,
+            yield (m, p, name, orbit * count, lhs, rhs,
                    lhs * den_rhs - rhs * den_lhs)
 
 
@@ -292,11 +291,11 @@ def _block_rows(
             records = {}
             _, group = next(groups)
             for cls in group:
-                _, p, proximity, _, lhs, rhs, num = cls
+                _, p, _, _, lhs, rhs, num = cls
                 records[p] = record(cls, InequalityVerdict(
                     params=params, p=p, lhs=Fraction(lhs, den_lhs),
                     rhs=Fraction(rhs, den_rhs), margin=Fraction(num, den),
-                    holds=num >= 0, proximity=proximity,
+                    holds=num >= 0, proximity=classify_sizes(p),
                 ))
             rows[m] = [records[p_sorted] for _, p_sorted, _ in p_list]
         yield m, rows[key]
@@ -421,8 +420,8 @@ class SweepSummary:
         first-seen order."""
         n, _, _, _, den_lhs, den_rhs = block
         low = None
-        for m, p, proximity, weight, _, _, num in classes:
-            self._count(proximity.value, num >= 0, weight)
+        for m, p, name, weight, _, _, num in classes:
+            self._count(name, num >= 0, weight)
             if low is None or num < low:
                 low, at = num, (n, m, p)
         self._minimum(Fraction(low, den_lhs * den_rhs), at)
