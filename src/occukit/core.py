@@ -446,7 +446,7 @@ def weight_sum_dp(params: Params, spec: SpecLike) -> int:
 
 
 # A dense walk keeps up to T + 1 tables of (T+1)^r cells. The largest walk in
-# the tests holds 14^4 cells; 2^22 keeps a walk's lists within tens of MB.
+# the tests holds 14^4 cells; a sweep walk of 2^22 cells peaks near 120 MB.
 TABLE_CELL_LIMIT = 1 << 22
 
 
