@@ -66,14 +66,21 @@ def _as_int(value: Any, label: str) -> int:
         raise _UsageError(f"{label} expects an integer, got {value!r}") from None
 
 
+def _items(value: str, label: str, example: str) -> list[str]:
+    """The comma-separated items of ``value``; an empty one is a usage error
+    rather than dropped, so '1,,2' is not read as '1,2'."""
+    parts = [part.strip() for part in value.split(",")]
+    if "" in parts:
+        raise _UsageError(f"{label} expects {example}, got {value!r}")
+    return parts
+
+
 def _as_int_list(value: Any, label: str) -> tuple[int, ...]:
     if isinstance(value, (list, tuple)):
         return tuple(_as_int(v, label) for v in value)
     if isinstance(value, str):
-        parts = [p for p in value.split(",") if p != ""]
-        if not parts:
-            raise _UsageError(f"{label} expects a comma-separated integer list")
-        return tuple(_as_int(p, label) for p in parts)
+        items = _items(value, label, "a comma-separated integer list")
+        return tuple(_as_int(p, label) for p in items)
     return (_as_int(value, label),)
 
 
@@ -84,10 +91,7 @@ def _as_int_range(value: Any, label: str) -> tuple[int, ...]:
     if not isinstance(value, str):
         return (_as_int(value, label),)
     out: list[int] = []
-    for part in value.split(","):
-        part = part.strip()
-        if not part:
-            continue
+    for part in _items(value, label, "values like '3..8' or '2,4'"):
         if ".." in part:
             lo_s, hi_s = part.split("..", 1)
             lo, hi = _as_int(lo_s, label), _as_int(hi_s, label)
@@ -96,8 +100,6 @@ def _as_int_range(value: Any, label: str) -> tuple[int, ...]:
             out.extend(range(lo, hi + 1))
         else:
             out.append(_as_int(part, label))
-    if not out:
-        raise _UsageError(f"{label} expects values like '3..8' or '2,4'")
     return tuple(out)
 
 
@@ -106,10 +108,7 @@ def _as_size_sets(value: Any, label: str) -> SizeSpec:
     if isinstance(value, (list, tuple)):
         return SizeSpec.coerce(value)
     slots = []
-    for part in str(value).split(","):
-        part = part.strip()
-        if not part:
-            continue
+    for part in _items(str(value), label, "slot specs like '1-2,1-2'"):
         if "-" in part:
             lo_s, hi_s = part.split("-", 1)
             lo, hi = _as_int(lo_s, label), _as_int(hi_s, label)
@@ -120,8 +119,6 @@ def _as_size_sets(value: Any, label: str) -> SizeSpec:
             slots.append(frozenset(_as_int(v, label) for v in part.split("+")))
         else:
             slots.append(frozenset((_as_int(part, label),)))
-    if not slots:
-        raise _UsageError(f"{label} expects slot specs like '1-2,1-2'")
     return SizeSpec(tuple(slots))
 
 

@@ -36,13 +36,17 @@ Evaluation routes
 ``weight_sum_naive`` enumerates every admissible pattern tuple literally, at
 cost ``O(prod C(T, p_j))``, and is the oracle. ``weight_sum_dp`` reaches the
 same value by dynamic programming over draws, at cost ``T`` times the states
-times the moves per state. Slots with equal size sets form a class whose
-state is the multiset of its slots' used memberships: at most ``C(L + c, c)``
-states for ``c`` slots whose level is capped at ``L``. ``L`` is the largest
-admissible size, or ``lo`` when the sizes run from ``lo`` to ``T``, since
-every final size from ``lo`` on is then admissible. An at-least query on
-``r`` identical slots with threshold ``t`` thus has at most ``C(t + r, r)``
-states per draw, where uncapped levels would give about ``C(T + r, r)``.
+times the moves per state. The weight is symmetric in the slots, so for any
+mix of size sets the state is the sorted tuple of all slots' used memberships
+(levels): at most ``C(L + r, r)`` states for ``r`` slots whose level is capped
+at ``L``. When some set holds ``T``, ``L`` is the lowest level from which
+every set holds all or none of the sizes up to ``T``, since final sizes from
+``L`` on need not be told apart; otherwise it is the largest size. An
+at-least query on ``r`` slots with threshold ``t`` thus has at most
+``C(t + r, r)`` states per draw, where uncapped levels would give about
+``C(T + r, r)``. Which slot holds which level is settled after the last draw,
+by counting the orderings of the final levels that fit every slot's set.
+Slots that allow every size factor out in closed form.
 ``weight_sum_table`` produces ``G`` for every size vector of a given tuple
 length in one pass: the walk ``_prefix_tables`` over one draw-size vector.
 The inequality sweeps walk many vectors in lexicographic order, each rerunning
@@ -308,83 +312,132 @@ def weight_sum_naive(params: Params, spec: SpecLike) -> int:
     return total
 
 
-class _SlotClass:
-    """The slots of one size set, tracked together as a multiset of levels.
+def _orderings(levels: Sequence[int]) -> int:
+    """Distinct orderings of the sorted ``levels``: ``len! / prod h_u!``."""
+    out = math.factorial(len(levels))
+    for _, group in itertools.groupby(levels):
+        out //= math.factorial(len(list(group)))
+    return out
 
-    A slot's level is how many memberships it has used so far. When the size
-    set holds every size from ``top`` to ``T`` the top level is absorbing: any
-    final size from there on is admissible, so levels above ``top`` are not
-    told apart. Otherwise ``top`` is the largest size and no slot may pass it.
 
-    Sub-states (sorted level tuples) get dense indices in the order they are
-    first reached; there are at most ``size = C(top + count, count)`` of them,
-    so the index is one digit, of radix ``size``, of the DP's state integer.
-    Each sub-state's moves are built once and kept for the rest of the call.
+class _SortedLevels:
+    """The ``r`` slots' levels as one sorted tuple; which slot holds which
+    level is settled only at the end.
+
+    A slot's level is how many memberships it has used so far. ``top`` is the
+    lowest level such that every size set holds either all of ``top..T`` or
+    none of it. When some set holds ``T`` the top level is absorbing: levels
+    from ``top`` on are not told apart. Otherwise ``top`` is the largest size
+    and no slot may pass it.
+
+    A tuple's *worst need* is, over every way to hand its levels to the
+    slots, the least possible largest number of further memberships a slot
+    needs to reach a size of its own set. It and the count of admissible
+    orderings come from recursions that hand one level to one slot at a time
+    and keep their results per tuple of levels left, so no ordering of all
+    ``r`` levels is listed. Tuples get dense indices in the order they are
+    first reached; a tuple that no hand-out can make admissible gets none.
+    Each tuple's moves are built once and kept for the rest of the call.
     """
 
     __slots__ = (
-        "top", "absorbing", "need", "stride", "size", "levels", "index", "moves",
+        "top", "absorbing", "needs", "tail", "levels", "index", "moves",
+        "_worst", "_fits",
     )
 
-    def __init__(self, sizes: frozenset[int], count: int, T: int, stride: int):
-        self.absorbing = T in sizes
-        top = max(sizes)
-        while self.absorbing and top - 1 in sizes:
+    def __init__(self, entries: Sequence[frozenset[int]], T: int):
+        self.absorbing = any(T in sizes for sizes in entries)
+        top = T if self.absorbing else max(map(max, entries))
+        while self.absorbing and top and all((top - 1 in s) == (T in s) for s in entries):
             top -= 1
         self.top = top
-        # need[u]: fewest further memberships that take level u to an
-        # admissible size (0 at the absorbing level).
-        self.need = [min(s - u for s in sizes if s >= u) for u in range(top + 1)]
-        self.stride = stride
-        self.size = math.comb(top + count, count)
-        start = (0,) * count
+        # needs[j][u]: fewest further memberships that take slot j from level
+        # u to a size of its set, inf when none can. Slots of one set share a
+        # list, and the ``tail`` slots of the most frequent set come last.
+        counts = Counter(entries)
+        per_set = {
+            sizes: [
+                min([s - u for s in sizes if s >= u], default=math.inf)
+                for u in range(top + 1)
+            ]
+            for sizes in counts
+        }
+        order = sorted(counts, key=lambda sizes: (counts[sizes], sorted(sizes)))
+        self.needs = [per_set[sizes] for sizes in order for _ in range(counts[sizes])]
+        self.tail = counts[order[-1]]
+        start = (0,) * len(entries)
         self.levels = [start]
         self.index = {start: 0}
         self.moves: dict[int, tuple[list[int], list[tuple[int, int, int]]]] = {}
+        self._worst: dict[tuple[int, ...], float] = {(): 0}
+        self._fits: dict[tuple[int, ...], int] = {(): 1}
+
+    def worst(self, levels: tuple[int, ...]) -> float:
+        """Worst need of the sorted ``levels`` on the last ``len(levels)``
+        slots."""
+        out = self._worst.get(levels)
+        if out is None:
+            need = self.needs[-len(levels)]
+            if len(levels) <= self.tail:  # the slots left share one set
+                out = max([need[u] for u in levels])
+            else:
+                out = math.inf
+                for i, u in enumerate(levels):
+                    if need[u] < out and (i == 0 or levels[i - 1] != u):
+                        rest = self.worst(levels[:i] + levels[i + 1:])
+                        out = min(out, max(need[u], rest))
+            self._worst[levels] = out
+        return out
+
+    def admissible(self, levels: tuple[int, ...]) -> int:
+        """Orderings of the sorted ``levels`` on the last ``len(levels)``
+        slots that give every slot a size of its own set."""
+        out = self._fits.get(levels)
+        if out is None:
+            need = self.needs[-len(levels)]
+            out = self._fits[levels] = sum(
+                self.admissible(levels[:i] + levels[i + 1:])
+                for i, u in enumerate(levels)
+                if need[u] == 0 and (i == 0 or levels[i - 1] != u)
+            )
+        return out
 
     def _build(self, i: int) -> tuple[list[int], list[tuple[int, int, int]]]:
         # A draw moves x_u of the h_u slots at level u up one level, in
         # C(h_u, x_u) ways; at the absorbing level the slots stay put.
-        top, need = self.top, self.need
-        hist: list[list[int]] = []  # [level, slots there], levels ascending
-        for u in self.levels[i]:
-            if hist and hist[-1][0] == u:
-                hist[-1][1] += 1
-            else:
-                hist.append([u, 1])
-        choices = [
-            range(h + 1) if u < top or self.absorbing else range(1) for u, h in hist
-        ]
+        top = self.top
+        grown: list[tuple[tuple[int, ...], int, int]] = [((), 0, 1)]
+        for u, group in itertools.groupby(self.levels[i]):
+            h = len(list(group))
+            up = u + 1 if u < top else u
+            # new stays sorted: u <= u + 1 <= the next level
+            steps = [
+                ((u,) * (h - x) + (up,) * x, x, math.comb(h, x))
+                for x in (range(h + 1) if u < top or self.absorbing else range(1))
+            ]
+            grown = [
+                (new + step, k + x, mult * c)
+                for new, k, mult in grown
+                for step, x, c in steps
+            ]
         found = []
-        for xs in itertools.product(*choices):
-            new: list[int] = []  # stays sorted: u <= u + 1 <= the next level
-            k, mult, worst = 0, 1, 0
-            for (u, h), x in zip(hist, xs):
-                up = u + 1 if u < top else u
-                if x < h:
-                    new += [u] * (h - x)
-                    worst = max(worst, need[u])
-                if x:
-                    new += [up] * x
-                    worst = max(worst, need[up])
-                    k += x
-                    mult *= math.comb(h, x)
-            key = tuple(new)
+        for key, k, mult in grown:
+            worst = self.worst(key)
+            if worst == math.inf:
+                continue
             j = self.index.get(key)
             if j is None:
                 j = self.index[key] = len(self.levels)
                 self.levels.append(key)
-            found.append((worst, (j - i) * self.stride, k, mult))
+            found.append((worst, j, k, mult))
         found.sort()
         entry = ([f[0] for f in found], [f[1:] for f in found])
         self.moves[i] = entry
         return entry
 
-    def moves_within(self, state: int, remaining: int) -> list[tuple[int, int, int]]:
-        """``(delta, k, multiplicity)`` of the moves from the sub-state of
-        ``state`` that leave every slot able to reach an admissible size with
-        ``remaining`` draws."""
-        i = state // self.stride % self.size
+    def moves_within(self, i: int, remaining: int) -> list[tuple[int, int, int]]:
+        """``(successor, k, multiplicity)`` of the moves from tuple ``i`` to
+        tuples whose worst need is at most ``remaining`` draws."""
         needs, moves = self.moves.get(i) or self._build(i)
         if needs[-1] <= remaining:
             return moves
@@ -394,32 +447,32 @@ class _SlotClass:
 def weight_sum_dp(params: Params, spec: SpecLike) -> int:
     """Same value as :func:`weight_sum_naive`, by dynamic programming.
 
-    Walks the draws in order. Slots with equal size sets form one class, and
-    the state is, per class, the multiset of levels (memberships used so far)
-    of its slots: slots of one class have identical futures, so which slot
-    holds which level does not matter. A draw with ``k`` memberships in all
-    applies ``(m_i)_k (n - m_i)_(r-k)``; moving ``x`` of the ``h`` slots at
-    one level up one counts ``C(h, x)`` ways. When a class's sizes run from
-    ``lo`` to ``T``, level ``lo`` is absorbing and higher levels are merged
-    into it. A class of ``c`` slots with top level ``L`` (``lo``, or its
-    largest size) has at most ``C(L + c, c)`` sub-states, and the state space
-    is their product. States from which some slot can no longer reach an
-    admissible size with the draws left are pruned, so every state left after
-    the last draw is admissible.
+    The weight depends on the patterns only through the counts ``k_i``, so
+    ``G`` is symmetric in its slots. A slot whose set is all of ``0..T`` is
+    free and factors out: by Vandermonde's identity each draw gives it
+    ``n - s`` choices, for ``s`` slots besides it, so ``f`` free slots scale
+    ``G`` of the others by ``((n - s)_f)^T``. The other slots are walked
+    through the draws as one sorted tuple of levels (memberships used so far;
+    see :class:`_SortedLevels`). A draw with ``k`` memberships in all applies
+    ``(m_i)_k (n - m_i)_(s-k)``; moving ``x`` of the ``h`` slots at one level
+    up one counts ``C(h, x)`` ways. A final tuple's weight ``W`` is then its
+    orderings times ``G`` of its levels, so it adds ``W / orderings`` times
+    its admissible orderings, those that give every slot a size of its own
+    set; with one size set for all slots that is ``W``. Tuples whose worst
+    need exceeds the draws left are pruned: no path through them ends in an
+    admissible ordering, and every tuple left after the last draw has one.
+    With top level ``L`` there are at most ``C(L + s, s)`` tuples.
     """
     spec = SizeSpec.coerce(spec)
     _validate_spec(params, spec)
-    r = spec.r
-    if r == 0:
-        return 1
     T, n, m = params.T, params.n, params.m
-    classes: list[_SlotClass] = []
-    stride = 1
-    for sizes, count in Counter(spec.entries).items():
-        cls = _SlotClass(sizes, count, T, stride)
-        classes.append(cls)
-        stride *= cls.size
-    first, rest = classes[0], classes[1:]
+    full = frozenset(range(T + 1))
+    entries = [sizes for sizes in spec.entries if sizes != full]
+    r = len(entries)
+    scale = falling_factorial(n - r, spec.r - r) ** T
+    if r == 0:
+        return scale
+    walk = _SortedLevels(entries, T)
 
     states: dict[int, int] = {0: 1}
     for idx in range(T):
@@ -427,22 +480,19 @@ def weight_sum_dp(params: Params, spec: SpecLike) -> int:
         fac = _draw_factors(n, m[idx], r)
         nxt: dict[int, int] = {}
         for state, w in states.items():
-            moves = first.moves_within(state, remaining)
-            for cls in rest:
-                more = cls.moves_within(state, remaining)
-                moves = [
-                    (d1 + d2, k1 + k2, c1 * c2)
-                    for d1, k1, c1 in moves
-                    for d2, k2, c2 in more
-                ]
             wk = [w * f for f in fac]
-            for delta, k, mult in moves:
+            for key, k, mult in walk.moves_within(state, remaining):
                 v = wk[k]
                 if v:
-                    key = state + delta
                     nxt[key] = nxt.get(key, 0) + v * mult
         states = nxt
-    return sum(states.values())
+    if walk.tail == r:
+        return scale * sum(states.values())
+    total = 0
+    for i, w in states.items():
+        levels = walk.levels[i]
+        total += w // _orderings(levels) * walk.admissible(levels)
+    return scale * total
 
 
 # A dense walk keeps up to T + 1 tables of (T+1)^r cells. The largest walk in

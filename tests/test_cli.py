@@ -128,6 +128,27 @@ def test_usage_error_exit_codes(capsys):
     assert captured.out == "" and "repeats a value" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["norm", "--n", "5", "--m", "2,3", "--p", "1,,1"], "--p"),
+        (["norm", "--n", "5", "--m", "2,3,", "--p", "1,1"], "--m"),
+        (["norm", "--n", "5", "--m", ",2,3", "--p", "1,1"], "--m"),
+        (["inequality", "search", "--n", "3,", "--T", "1", "--r", "2"], "--n"),
+        (["inequality", "search", "--n", "3", "--T", "1..2,,3", "--r", "2"], "--T"),
+        (["norm", "--n", "5", "--m", "2,3", "--bsets", "1-2,,1"], "--bsets"),
+        (["norm", "--n", "5", "--m", "2,3", "--bsets", "1-2,1, "], "--bsets"),
+    ],
+)
+def test_empty_list_items_are_usage_errors(capsys, argv, flag):
+    # An empty item is rejected, not dropped: '1-2,,1' would otherwise be
+    # read as a two-slot query.
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage error: {flag} expects")
+
+
 def test_budget_exit_code(capsys, monkeypatch):
     monkeypatch.setenv("OCCUKIT_BUDGET", "10")
     assert main(["pmf", "--n", "5", "--m", "2,3", "--t", "1",

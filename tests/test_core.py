@@ -280,9 +280,43 @@ def test_dp_matches_table_sums_at_larger_T():
         (suffix, suffix, frozenset({3, 4, 5})),
         (suffix, suffix, suffix),
         (frozenset({0, 6, 7}), suffix, frozenset(range(2, 9))),
+        # overlapping windows, alone and mixed with a fixed size
+        (frozenset(range(3, 10)), frozenset(range(4, 8)), frozenset({9, 10, 11})),
+        (frozenset({7}), frozenset(range(2, 7)), frozenset(range(4, 8))),
+        # disjoint sizes far apart
+        (frozenset({1}), frozenset({12}), frozenset({6})),
+        (frozenset({2}), frozenset({2}), frozenset({11})),
+        # a slot that allows every size
+        (frozenset(range(14)), frozenset({4}), frozenset(range(6, 10))),
     ):
         expected = sum(table[p] for p in itertools.product(*entries))
         assert weight_sum_dp(params, SizeSpec(entries)) == expected
+
+
+def test_dp_matches_naive_on_eight_slots_of_three_sets():
+    # 8! orderings of the final levels, counted without listing them.
+    params = Params(10, (4, 6))
+    spec = [{0, 1}] * 3 + [{1, 2}] * 3 + [{2}] * 2
+    assert weight_sum_dp(params, spec) == weight_sum_naive(params, spec)
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+@pytest.mark.parametrize(
+    "spec",
+    [
+        [range(5)],
+        [range(5), range(5)],
+        [range(5), 2],
+        [{0, 4}, range(5), range(5)],
+        [range(5), 1, {1, 3}],
+        [2, range(5), 1, {1, 3}],
+    ],
+)
+def test_free_slots_factor_out(n, spec):
+    # A slot allowing every size scales G of the other s slots by (n - s)
+    # per draw, also when n - s is 0 or negative.
+    params = Params(n, (1, n, 2 if n > 2 else 1, 1))
+    assert weight_sum_dp(params, spec) == weight_sum_naive(params, spec)
 
 
 @st.composite
