@@ -312,14 +312,6 @@ def weight_sum_naive(params: Params, spec: SpecLike) -> int:
     return total
 
 
-def _orderings(levels: Sequence[int]) -> int:
-    """Distinct orderings of the sorted ``levels``: ``len! / prod h_u!``."""
-    out = math.factorial(len(levels))
-    for _, group in itertools.groupby(levels):
-        out //= math.factorial(len(list(group)))
-    return out
-
-
 class _SortedLevels:
     """The ``r`` slots' levels as one sorted tuple; which slot holds which
     level is settled only at the end.
@@ -348,7 +340,7 @@ class _SortedLevels:
     def __init__(self, entries: Sequence[frozenset[int]], T: int):
         self.absorbing = any(T in sizes for sizes in entries)
         top = T if self.absorbing else max(map(max, entries))
-        while self.absorbing and top and all((top - 1 in s) == (T in s) for s in entries):
+        while self.absorbing and all((top - 1 in s) == (T in s) for s in entries):
             top -= 1
         self.top = top
         # needs[j][u]: fewest further memberships that take slot j from level
@@ -491,7 +483,8 @@ def weight_sum_dp(params: Params, spec: SpecLike) -> int:
     total = 0
     for i, w in states.items():
         levels = walk.levels[i]
-        total += w // _orderings(levels) * walk.admissible(levels)
+        repeats = math.prod(map(math.factorial, Counter(levels).values()))
+        total += w // (math.factorial(r) // repeats) * walk.admissible(levels)
     return scale * total
 
 
