@@ -294,7 +294,8 @@ def test_dp_matches_table_sums_at_larger_T():
 
 
 def test_dp_matches_naive_on_eight_slots_of_three_sets():
-    # 8! orderings of the final levels, counted without listing them.
+    # Each final tuple's admissible orderings are counted slot by slot,
+    # never by listing the 8! permutations of the slots.
     params = Params(10, (4, 6))
     spec = [{0, 1}] * 3 + [{1, 2}] * 3 + [{2}] * 2
     assert weight_sum_dp(params, spec) == weight_sum_naive(params, spec)
