@@ -302,7 +302,7 @@ def _stream_block(
     ``summary``. ``first_violations`` is never rendered, so it stays
     empty."""
     head, cell, tail = _SWEEP_TEXT[fmt]
-    n, T, r, p_list, _, _ = block
+    n, T, r, p_list, *_ = block
     classes: list[tuple] = []
 
     def record(cls: tuple, verdict: InequalityVerdict) -> str:

@@ -50,7 +50,9 @@ Slots that allow every size factor out in closed form.
 ``weight_sum_table`` produces ``G`` for every size vector of a given tuple
 length in one pass: the walk ``_prefix_tables`` over one draw-size vector.
 The inequality sweeps walk many vectors in lexicographic order, each rerunning
-only the draws past the prefix it shares with the one before.
+only the draws past the prefix it shares with the one before; where int64
+arithmetic is provably exact, all vectors' tables advance one draw at a time
+as rows of one array.
 """
 
 from __future__ import annotations
@@ -63,7 +65,9 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Sequence, Union
+
+import numpy as np
 
 from .combinat import falling_factorial, iter_k_subsets
 from .errors import DegenerateDenominatorError
@@ -488,9 +492,18 @@ def weight_sum_dp(params: Params, spec: SpecLike) -> int:
     return scale * total
 
 
-# A dense walk keeps up to T + 1 tables of (T+1)^r cells. The largest walk in
-# the tests holds 14^4 cells; a sweep walk of 2^22 cells peaks near 120 MB.
+# The most table cells a dense walk keeps alive. A walk over Python integers
+# keeps up to T + 1 tables of (T+1)^r cells, checked before it starts; one
+# of 2^22 cells (n=11, T=3, r=10) peaks near 120 MB. The int64 walk takes its
+# vectors in chunks that stay within it (see _chunk_vectors): 32 MB of cells.
 TABLE_CELL_LIMIT = 1 << 22
+
+# The int64 walk is exact while ((n)_r)^T stays below this; see _prefix_tables.
+_INT64_BOUND = 1 << 63
+
+# Fewer vectors than this walk faster one at a time than in batches, which
+# pay numpy's fixed cost of about ten calls per draw.
+_MIN_BATCH_VECTORS = 8
 
 
 def _check_table_cells(T: int, r: int) -> None:
@@ -502,6 +515,65 @@ def _check_table_cells(T: int, r: int) -> None:
             f"a weight-sum table walk with T={T} draws and r={r} slots keeps "
             f"up to {cells} cells alive, above the limit of {TABLE_CELL_LIMIT}"
         )
+
+
+def _table_codes(T: int, p_vectors: Iterable[Sequence[int]]) -> list[int]:
+    """Each size vector's index ``sum p_j (T+1)^j`` in a dense table."""
+    base = T + 1
+    return [sum(v * base**j for j, v in enumerate(p)) for p in p_vectors]
+
+
+def _slot_offsets(T: int, r: int) -> list[tuple[int, int]]:
+    """(encoded increment, k) per set of ``k`` of the ``r`` slots a draw
+    covers; the empty set, increment 0, comes first."""
+    base = T + 1
+    return [
+        (sum(base**j for j in slots), k)
+        for k in range(r + 1)
+        for slots in itertools.combinations(range(r), k)
+    ]
+
+
+class _PrefixPlan(NamedTuple):
+    """How a sequence of draw-size vectors of one length ``T`` shares
+    prefixes, for walking their tables depth by depth.
+
+    At depth ``d`` (after ``d`` draws) each run of consecutive vectors with
+    one length-``d`` prefix is one row. ``ids[i, d - 1]`` is the row of
+    vector ``i`` at depth ``d``; ``parents[d - 1][j]`` is the depth ``d - 1``
+    row of row ``j``'s prefix, and ``sizes[d - 1][j]`` indexes its last draw
+    size in ``values``, the distinct draw sizes. Rows of consecutive vectors
+    are consecutive, so any range of vectors covers one range of rows at
+    every depth. With fewer than ``_MIN_BATCH_VECTORS`` vectors the four
+    are None, and the vectors are walked one at a time.
+    """
+
+    T: int
+    vectors: list[tuple[int, ...]]
+    ids: np.ndarray | None = None
+    parents: list[np.ndarray] | None = None
+    sizes: list[np.ndarray] | None = None
+    values: list[int] | None = None
+
+
+def _prefix_plan(T: int, m_vectors: Iterable[Sequence[int]]) -> _PrefixPlan:
+    vectors = [tuple(m) for m in m_vectors]
+    if len(vectors) < _MIN_BATCH_VECTORS:
+        return _PrefixPlan(T, vectors)
+    m = np.array(vectors, dtype=np.int64).reshape(len(vectors), T)
+    flat = np.sort(m, axis=None)  # np.unique would import numpy.ma, 1.4 MB
+    values = flat[np.append(True, flat[1:] != flat[:-1])]
+    inverse = np.searchsorted(values, m)
+    # changed[i, d]: vector i's length-(d+1) prefix differs from vector i-1's
+    changed = np.ones(m.shape, dtype=bool)
+    np.logical_or.accumulate(m[1:] != m[:-1], axis=1, out=changed[1:])
+    ids = np.cumsum(changed, axis=0) - 1
+    parents, sizes = [], []
+    for d in range(T):
+        first = np.flatnonzero(changed[:, d])
+        parents.append(ids[first, d - 1] if d else np.zeros(len(first), np.intp))
+        sizes.append(inverse[first, d])
+    return _PrefixPlan(T, vectors, ids, parents, sizes, values.tolist())
 
 
 def _draw_step(
@@ -519,31 +591,29 @@ def _draw_step(
     return nxt
 
 
-def _prefix_tables(
-    n: int, T: int, r: int, m_vectors: Iterable[Sequence[int]],
-    p_vectors: Sequence[Sequence[int]],
-) -> Iterator[list[int]]:
-    """``[G(p) for p in p_vectors]`` of ``r`` slots, per draw-size vector.
+def _chunk_vectors(r: int, cells: int) -> int:
+    """How many vectors a walk of ``r``-slot tables of ``cells`` cells takes
+    per chunk: the batched walk keeps up to ``r + 3`` arrays of one row per
+    vector alive, and a chunk keeps their cells within ``TABLE_CELL_LIMIT``."""
+    return max(1, TABLE_CELL_LIMIT // ((r + 3) * cells))
 
-    Every draw-size vector has length ``T``. The walk fills a dense table of
-    ``G`` for all ``(T+1)^r`` size vectors, ``p`` at index
-    ``sum p_j (T+1)^j``, and keeps the table after each draw of the previous
-    vector, so a vector reruns only the draws after its longest prefix shared
-    with the one before; at most ``T + 1`` tables are alive at once.
-    Lexicographically ordered vectors share the most.
-    """
-    base = T + 1
-    codes = [sum(v * base**j for j, v in enumerate(p)) for p in p_vectors]
-    offsets = [
-        (sum(base**j for j in slots), k)
-        for k in range(r + 1)
-        for slots in itertools.combinations(range(r), k)
-    ]
-    start = [0] * base**r
+
+def _list_tables(
+    n: int, r: int, plan: _PrefixPlan, codes: Sequence[int]
+) -> Iterator[np.ndarray]:
+    """The walk of ``_prefix_tables`` one vector at a time over Python lists
+    of exact integers, keeping the table after each draw of the previous
+    vector: at most ``T + 1`` tables are alive at once."""
+    T = plan.T
+    cells = (T + 1) ** r
+    offsets = _slot_offsets(T, r)
+    step = _chunk_vectors(r, cells)
+    start = [0] * cells
     start[0] = 1
     path = [start]  # path[k]: the table after the first k draws of prev
     prev: Sequence[int] = ()
-    for m in m_vectors:
+    rows = []
+    for m in plan.vectors:
         shared = 0
         while shared < len(prev) and prev[shared] == m[shared]:
             shared += 1
@@ -552,7 +622,75 @@ def _prefix_tables(
             path.append(_draw_step(path[-1], n, size, r, offsets))
         prev = m
         table = path[-1]
-        yield [table[code] for code in codes]
+        rows.append([table[code] for code in codes])
+        if len(rows) == step:
+            yield np.array(rows, dtype=object)
+            rows = []
+    if rows:
+        yield np.array(rows, dtype=object)
+
+
+def _int64_tables(
+    n: int, r: int, plan: _PrefixPlan, codes: Sequence[int]
+) -> Iterator[np.ndarray]:
+    """The walk of ``_prefix_tables`` batched by depth over int64 rows.
+
+    At each depth every row gathers its parent row and scales it by each of
+    its ``r + 1`` draw factors; each set of ``k >= 1`` covered slots then
+    adds the ``k``-th scaled row, shifted by its increment, to the 0-th.
+    The gathered rows and the scaled ones are alive together: ``r + 2``
+    arrays of rows x ``(T+1)^r`` cells, and ``r + 3`` while the last depth's
+    tables are read out. A chunk starts from the empty prefix: a prefix
+    shared across a chunk boundary is walked again.
+    """
+    T = plan.T
+    cells = (T + 1) ** r
+    shifts = [(delta, k, cells - delta) for delta, k in _slot_offsets(T, r)[1:]]
+    fac = np.array([_draw_factors(n, v, r) for v in plan.values], dtype=np.int64)
+    codes = np.asarray(codes, dtype=np.intp)
+    step = _chunk_vectors(r, cells)
+    for a in range(0, len(plan.vectors), step):
+        b = min(a + step, len(plan.vectors)) - 1
+        scaled = np.zeros((1, 1, cells), dtype=np.int64)
+        scaled[0, 0, 0] = 1
+        low = 0  # the first row of the chunk at the current depth
+        for d in range(T):
+            rows = slice(plan.ids[a, d], plan.ids[b, d] + 1)
+            prev = scaled[plan.parents[d][rows] - low, :1]
+            del scaled  # free the previous depth before the next is made
+            scaled = prev * fac[plan.sizes[d][rows], :, None]
+            for delta, k, width in shifts:
+                scaled[:, 0, delta:] += scaled[:, k, :width]
+            low = rows.start
+        yield scaled[plan.ids[a : b + 1, T - 1] - low, 0][:, codes]
+
+
+def _prefix_tables(
+    n: int, r: int, plan: _PrefixPlan, codes: Sequence[int]
+) -> Iterator[np.ndarray]:
+    """``table[codes]`` of ``r`` slots for each vector of ``plan``, as the
+    rows of arrays that each cover a chunk of consecutive vectors (see
+    ``_chunk_vectors``). Entries are exact: int64, or Python integers in an
+    object array.
+
+    Every draw-size vector has length ``T``. ``table`` is the dense table of
+    ``G`` for all ``(T+1)^r`` size vectors, ``p`` at index ``sum p_j
+    (T+1)^j`` (see ``_table_codes``). A vector's table extends the table of
+    its longest prefix shared with the vector before, so a vector reruns
+    only the draws past it; lexicographically ordered vectors share the
+    most.
+
+    The walk runs in int64 arrays (``_int64_tables``) when ``((n)_r)^T <
+    2^63``, which makes it exact: after ``k`` draws the entries are
+    non-negative and sum to ``((n)_r)^k`` (Vandermonde: one draw's factors
+    ``C(r, k) (m)_k (n - m)_(r-k)`` sum to ``(n)_r``), so no entry, product
+    or partial sum of the walk can reach ``2^63``. Otherwise, and for plans
+    of fewer than ``_MIN_BATCH_VECTORS`` vectors, it runs one vector at a
+    time over Python integers (``_list_tables``).
+    """
+    if plan.ids is not None and falling_factorial(n, r) ** plan.T < _INT64_BOUND:
+        return _int64_tables(n, r, plan, codes)
+    return _list_tables(n, r, plan, codes)
 
 
 def weight_sum_table(params: Params, r: int) -> dict[tuple[int, ...], int]:
@@ -565,12 +703,13 @@ def weight_sum_table(params: Params, r: int) -> dict[tuple[int, ...], int]:
     ``TABLE_CELL_LIMIT`` cells.
     """
     r = _as_index(r, "r", 0)
-    _check_table_cells(params.T, r)
-    sizes = [
-        p[::-1] for p in itertools.product(range(params.T + 1), repeat=r)
-    ]
-    values = next(_prefix_tables(params.n, params.T, r, [params.m], sizes))
-    return dict(zip(sizes, values))
+    T = params.T
+    _check_table_cells(T, r)
+    cells = (T + 1) ** r
+    (table,) = _prefix_tables(params.n, r, _prefix_plan(T, [params.m]), range(cells))
+    # Codes count up with the first slot fastest: the reversed product order.
+    sizes = (p[::-1] for p in itertools.product(range(T + 1), repeat=r))
+    return dict(zip(sizes, table[0].tolist()))
 
 
 @lru_cache(maxsize=4096)

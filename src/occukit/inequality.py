@@ -38,11 +38,14 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
+import numpy as np
+
 from .combinat import falling_factorial, iter_k_subsets
 # weight_sum_table is not called here; perfbench/tracing.py wraps this name.
 from .core import (
-    Params, SizeSpec, _as_index, _check_table_cells, _prefix_tables,
-    occupancy_norm, pattern_weight, weight_sum_table,
+    Params, SizeSpec, _as_index, _check_table_cells, _prefix_plan,
+    _prefix_tables, _table_codes, occupancy_norm, pattern_weight,
+    weight_sum_table,
 )
 
 
@@ -219,21 +222,29 @@ def _p_vectors(grid: GridSpec, T: int, r: int) -> Iterator[tuple[int, ...]]:
 
 def _blocks(grid: GridSpec) -> Iterator[tuple]:
     """Every (n, T, r) block in grid order, as ``(n, T, r, p_list, den_lhs,
-    den_rhs)``: the block's ``(p, sorted p, class)`` triples in order, then
-    ``n^(r(T-1))`` and ``((n)_r)^(T-1)``, the denominators of the two sides
-    in the block; a margin's is their product."""
+    den_rhs, cell)``: the block's ``(p, sorted p, class)`` triples in order,
+    then ``n^(r(T-1))`` and ``((n)_r)^(T-1)``, the denominators of the two
+    sides in the block (a margin's is their product), then what the blocks
+    of one (n, T) share, built once: ``(m_classes, plan, singles)``, the
+    sorted m vectors with their orbits (``_m_classes``), their prefix plan
+    (``core._prefix_plan``), and an array with one row per sorted m vector,
+    its single-slot weight sums ``G_1(v)`` for ``v = 0..T``."""
     for n in grid.n_values:
         for T in grid.T_values:
+            m_classes = _m_classes(grid, n, T)
+            plan = _prefix_plan(T, [m for m, _ in m_classes])
+            singles = np.concatenate(list(_prefix_tables(n, 1, plan, range(T + 1))))
+            cell = (m_classes, plan, singles)
             for r in grid.r_values:
                 p_list = [
                     (p, tuple(sorted(p)), classify_sizes(p))
                     for p in _p_vectors(grid, T, r)
                 ]
                 yield (n, T, r, p_list, n ** (r * (T - 1)),
-                       falling_factorial(n, r) ** (T - 1))
+                       falling_factorial(n, r) ** (T - 1), cell)
 
 
-def _block_classes(grid: GridSpec, block: tuple) -> Iterator[tuple]:
+def _block_classes(block: tuple) -> Iterator[tuple]:
     """The block's (sorted m, sorted p) symmetry classes, from the one walk
     of its tables, each as ``(m, p, name, weight, L, G, num)``.
 
@@ -247,15 +258,14 @@ def _block_classes(grid: GridSpec, block: tuple) -> Iterator[tuple]:
     p. ``L = prod G_1(p_j)`` and ``G = G_r(p)``: ``lhs = L / den_lhs``,
     ``rhs = G / den_rhs`` and the margin is ``num / (den_lhs * den_rhs)``.
     """
-    n, T, r, p_list, den_lhs, den_rhs = block
+    n, T, r, p_list, den_lhs, den_rhs, (m_classes, plan, singles) = block
     counts = sorted(Counter(p_sorted for _, p_sorted, _ in p_list).items())
     p_classes = [(p, classify_sizes(p).value, count) for p, count in counts]
-    m_classes = _m_classes(grid, n, T)
-    m_sorted = [m for m, _ in m_classes]
-    singles = _prefix_tables(n, T, 1, m_sorted, [(v,) for v in range(T + 1)])
-    joints = _prefix_tables(n, T, r, m_sorted, [p for p, _ in counts])
-    for (m, orbit), single, joint in zip(m_classes, singles, joints):
-        for (p, name, count), rhs in zip(p_classes, joint):
+    joints = _prefix_tables(n, r, plan, _table_codes(T, [p for p, _ in counts]))
+    rows = (row for chunk in joints for row in chunk)
+    for (m, orbit), single, joint in zip(m_classes, singles, rows):
+        single = single.tolist()
+        for (p, name, count), rhs in zip(p_classes, joint.tolist()):
             lhs = 1
             for v in p:
                 lhs *= single[v]
@@ -280,9 +290,9 @@ def _block_rows(
     and ``record`` meets the classes in the order ``_block_classes`` yields
     them. Later permutations reuse the sorted vector's row.
     """
-    n, T, r, p_list, den_lhs, den_rhs = block
+    n, T, r, p_list, den_lhs, den_rhs, _ = block
     den = den_lhs * den_rhs
-    groups = itertools.groupby(_block_classes(grid, block), itemgetter(0))
+    groups = itertools.groupby(_block_classes(block), itemgetter(0))
     rows: dict[tuple[int, ...], list[_R]] = {}
     for m in _m_vectors(grid, n, T):
         key = tuple(sorted(m))
@@ -304,7 +314,7 @@ def _block_rows(
 def _block_verdicts(grid: GridSpec, block: tuple) -> Iterator[InequalityVerdict]:
     """The block's points in grid order, each its class's verdict moved to
     the point's own m and p."""
-    n, _, _, p_list, _, _ = block
+    n, _, _, p_list, *_ = block
     for m, row in _block_rows(grid, block, lambda cls, verdict: verdict):
         params = Params(n, m)
         for (p, _, _), verdict in zip(p_list, row):
@@ -349,7 +359,7 @@ class _GridSweep:
         grid, summary = self.grid, SweepSummary()
         for block in _blocks(grid):
             violations_before = summary.violation_count
-            summary._add_block(block, _block_classes(grid, block))
+            summary._add_block(block, _block_classes(block))
             if (summary.violation_count > violations_before
                     and len(summary.first_violations) < 10):
                 for verdict in _block_verdicts(grid, block):
@@ -418,7 +428,7 @@ class SweepSummary:
         ascending order, so strict ``<`` picks the same ``min_margin_at`` as
         the per-point fold, and ``by_class`` keys come out in the same
         first-seen order."""
-        n, _, _, _, den_lhs, den_rhs = block
+        n, _, _, _, den_lhs, den_rhs, _ = block
         low = None
         for m, p, name, weight, _, _, num in classes:
             self._count(name, num >= 0, weight)

@@ -6,11 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from occukit import render
+from occukit import cli, core, render
 from occukit.cli import main
 from occukit.core import Params, weight_sum_table
 from occukit.inequality import (
-    GridSpec, _block_classes, _blocks, check_inequality, grid_search, summarize_sweep,
+    GridSpec, SweepSummary, _block_classes, _blocks, _m_classes, check_inequality,
+    grid_search, summarize_sweep,
 )
 from occukit.moments import TailMode
 from occukit.oracle import monte_carlo
@@ -281,6 +282,37 @@ def test_search_stream_matches_per_verdict_render(capsys, grid):
 
 
 @pytest.mark.parametrize("grid", _STREAM_GRIDS.values(), ids=_STREAM_GRIDS.keys())
+def test_search_stream_matches_per_verdict_render_on_each_route(
+    capsys, table_route, grid
+):
+    test_search_stream_matches_per_verdict_render(capsys, grid)
+
+
+def _stream_jsonl(grid: GridSpec) -> str:
+    """The JSONL stream of ``inequality search`` on ``grid``, written by the
+    CLI's block writer into a string."""
+    sink, summary = io.StringIO(), SweepSummary()
+    for block in _blocks(grid):
+        cli._stream_block(sink, "jsonl", grid, block, summary)
+    return sink.getvalue() + json.dumps(render.summary_json_dict(summary)) + "\n"
+
+
+def test_chunked_table_walk_matches_one_batch(monkeypatch):
+    """A cell limit lowered after the grid is built splits the r = 2 block
+    of n = 6, T = 3 (35 sorted m vectors) into 4 chunks of 10, and the
+    boundary after (1, 3, 3) falls inside its shared prefix (1, 3). The
+    summary and the stream must not change."""
+    grid = GridSpec((6,), (3,), (2,), p_policy="all")
+    want = (repr(summarize_sweep(grid_search(grid))), _stream_jsonl(grid))
+    monkeypatch.setattr(core, "TABLE_CELL_LIMIT", 800)
+    step = core._chunk_vectors(2, 4**2)
+    vectors = [m for m, _ in _m_classes(grid, 6, 3)]
+    assert step == 10 and len(vectors) > 3 * step
+    assert vectors[step - 1 : step + 1] == [(1, 3, 3), (1, 3, 4)]
+    assert (repr(summarize_sweep(grid_search(grid))), _stream_jsonl(grid)) == want
+
+
+@pytest.mark.parametrize("grid", _STREAM_GRIDS.values(), ids=_STREAM_GRIDS.keys())
 def test_class_weights_count_the_grid_points(grid):
     """Each (sorted m, sorted p) class of a block comes once, in ascending
     order, weighted by the number of grid points that sort to it."""
@@ -290,7 +322,7 @@ def test_class_weights_count_the_grid_points(grid):
     )
     weights = {}
     for block in _blocks(grid):
-        classes = list(_block_classes(grid, block))
+        classes = list(_block_classes(block))
         keys = [(m, p) for m, p, *_ in classes]
         assert keys == sorted(set(keys))
         weights.update(((*block[:3], m, p), weight) for m, p, _, weight, *_ in classes)

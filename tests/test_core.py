@@ -377,26 +377,67 @@ def test_weight_sum_table_matches_dp():
             assert value == weight_sum_dp(params, SizeSpec.fixed(*sizes))
 
 
+_PREFIX_CASES = [
+    # shares two draws; truncates to one and extends; repeats; shares
+    # nothing; m_i = n (zero factors)
+    (4, [(1, 2, 3), (1, 2, 4), (1, 3, 1), (1, 3, 1), (4, 4, 2), (4, 1, 4)]),
+    (5, [(2,), (2,), (5,), (1,)]),  # T = 1
+]
+
+
 @pytest.mark.parametrize("r", [1, 2, 3])
-@pytest.mark.parametrize(
-    "n,vectors",
-    [
-        # shares two draws; truncates to one and extends; repeats; shares
-        # nothing; m_i = n (zero factors)
-        (4, [(1, 2, 3), (1, 2, 4), (1, 3, 1), (1, 3, 1), (4, 4, 2), (4, 1, 4)]),
-        (5, [(2,), (2,), (5,), (1,)]),  # T = 1
-    ],
-    ids=["T3", "T1"],
-)
+@pytest.mark.parametrize("n,vectors", _PREFIX_CASES, ids=["T3", "T1"])
 def test_prefix_tables_match_dp(n, vectors, r):
     T = len(vectors[0])
     sizes = list(itertools.product(range(T + 1), repeat=r))
-    walk = core._prefix_tables(n, T, r, vectors, sizes)
+    plan = core._prefix_plan(T, vectors)
+    chunks = core._prefix_tables(n, r, plan, core._table_codes(T, sizes))
+    walk = [row.tolist() for chunk in chunks for row in chunk]
     for m, values in zip(vectors, walk, strict=True):
         params = Params(n, m)
         assert len(values) == len(sizes)
         for p, value in zip(sizes, values):
             assert value == weight_sum_dp(params, SizeSpec.fixed(*p)), (m, p)
+
+
+def test_weight_sum_table_matches_dp_on_each_route(table_route):
+    test_weight_sum_table_matches_dp()
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("n,vectors", _PREFIX_CASES, ids=["T3", "T1"])
+def test_prefix_tables_match_dp_on_each_route(table_route, n, vectors, r):
+    test_prefix_tables_match_dp(n, vectors, r)
+
+
+@pytest.mark.parametrize("n,route", [(2**21, "list"), (2**21 - 1, "int64")])
+def test_int64_bound_edge(monkeypatch, n, route):
+    """At T=3 and r=1 the int64 walk is exact while n^3 < 2^63: n = 2^21
+    reaches the bound and must walk Python integers, where m = (n, n, n)
+    gives G(3) = n^3 = 2^63; one less walks in int64, with every entry up to
+    (2^21 - 1)^3."""
+    taken = []
+
+    def spy(name):
+        walk = getattr(core, name)
+
+        def run(*args):
+            taken.append(name)
+            return walk(*args)
+
+        return run
+
+    for name in ("_int64_tables", "_list_tables"):
+        monkeypatch.setattr(core, name, spy(name))
+    sizes = (1, 2, n // 3, n // 2, n - 1, n)
+    vectors = sorted(itertools.combinations_with_replacement(sizes, 3))
+    plan = core._prefix_plan(3, vectors)
+    rows = [row.tolist() for chunk in core._prefix_tables(n, 1, plan, range(4))
+            for row in chunk]
+    assert taken == [f"_{route}_tables"]
+    assert rows[-1][3] == n**3 and (n**3 >= 2**63) == (route == "list")
+    for m, row in zip(vectors, rows, strict=True):
+        assert row == [weight_sum_dp(Params(n, m), [p]) for p in range(4)], m
 
 
 def test_weight_sum_table_rejects_negative_r():
