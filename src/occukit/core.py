@@ -35,9 +35,9 @@ Evaluation routes
 -----------------
 ``weight_sum_naive`` enumerates every admissible pattern tuple literally, at
 cost ``O(prod C(T, p_j))``, and is the oracle. ``weight_sum_dp`` reaches the
-same value by dynamic programming over draws, at cost ``T`` times the states
-times the moves per state. The weight is symmetric in the slots, so for any
-mix of size sets the state is the sorted tuple of all slots' used memberships
+same value by dynamic programming over draws, at cost ``T`` times the moves
+between live states. The weight is symmetric in the slots, so for any mix of
+size sets the state is the sorted tuple of all slots' used memberships
 (levels): at most ``C(L + r, r)`` states for ``r`` slots whose level is capped
 at ``L``. When some set holds ``T``, ``L`` is the lowest level from which
 every set holds all or none of the sizes up to ``T``, since final sizes from
@@ -46,7 +46,11 @@ at-least query on ``r`` slots with threshold ``t`` thus has at most
 ``C(t + r, r)`` states per draw, where uncapped levels would give about
 ``C(T + r, r)``. Which slot holds which level is settled after the last draw,
 by counting the orderings of the final levels that fit every slot's set.
-Slots that allow every size factor out in closed form.
+Slots that allow every size factor out in closed form. The states and moves
+depend only on the size sets (not on ``n``, ``m`` or, past ``L``, ``T``), so
+they form a graph built once per shape and kept in a cache bounded by moves;
+each call runs only the weight pass over it, in numpy object arrays of
+Python ints.
 ``weight_sum_table`` produces ``G`` for every size vector of a given tuple
 length in one pass: the walk ``_prefix_tables`` over one draw-size vector.
 The inequality sweeps walk many vectors in lexicographic order, each rerunning
@@ -60,11 +64,10 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from bisect import bisect_right
-from collections import Counter
+from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -316,55 +319,36 @@ def weight_sum_naive(params: Params, spec: SpecLike) -> int:
     return total
 
 
-class _SortedLevels:
-    """The ``r`` slots' levels as one sorted tuple; which slot holds which
-    level is settled only at the end.
+# int64 arithmetic is exact on values provably below this: the level
+# graph's codes and keys (see _level_graph) and the table walk's entries
+# (see _prefix_tables).
+_INT64_BOUND = 1 << 63
 
-    A slot's level is how many memberships it has used so far. ``top`` is the
-    lowest level such that every size set holds either all of ``top..T`` or
-    none of it. When some set holds ``T`` the top level is absorbing: levels
-    from ``top`` on are not told apart. Otherwise ``top`` is the largest size
-    and no slot may pass it.
 
-    A tuple's *worst need* is, over every way to hand its levels to the
-    slots, the least possible largest number of further memberships a slot
-    needs to reach a size of its own set. It and the count of admissible
-    orderings come from recursions that hand one level to one slot at a time
-    and keep their results per tuple of levels left, so no ordering of all
-    ``r`` levels is listed. Tuples get dense indices in the order they are
-    first reached; a tuple that no hand-out can make admissible gets none.
-    Each tuple's moves are built once and kept for the rest of the call.
+def _expand(reps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row ``i`` repeated ``reps[i]`` times: the index of each copy's row,
+    and the copy's number ``0..reps[i]-1`` within it."""
+    rows = np.repeat(np.arange(len(reps)), reps)
+    return rows, np.arange(len(rows)) - np.repeat(np.cumsum(reps) - reps, reps)
+
+
+class _Handouts:
+    """Worst needs and admissible orderings of sorted levels on slots of
+    several size sets.
+
+    ``needs[j][u]`` is the fewest further memberships that take slot ``j``
+    from level ``u`` to a size of its set, inf when none can; the last
+    ``tail`` slots share one set. A tuple's *worst need* is, over every way
+    to hand its levels to the slots, the least possible largest need. Both
+    recursions hand one level to one slot at a time and keep their results
+    per tuple of levels left, so no ordering of all the levels is listed.
     """
 
-    __slots__ = (
-        "top", "absorbing", "needs", "tail", "levels", "index", "moves",
-        "_worst", "_fits",
-    )
+    __slots__ = ("needs", "tail", "_worst", "_fits")
 
-    def __init__(self, entries: Sequence[frozenset[int]], T: int):
-        self.absorbing = any(T in sizes for sizes in entries)
-        top = T if self.absorbing else max(map(max, entries))
-        while self.absorbing and all((top - 1 in s) == (T in s) for s in entries):
-            top -= 1
-        self.top = top
-        # needs[j][u]: fewest further memberships that take slot j from level
-        # u to a size of its set, inf when none can. Slots of one set share a
-        # list, and the ``tail`` slots of the most frequent set come last.
-        counts = Counter(entries)
-        per_set = {
-            sizes: [
-                min([s - u for s in sizes if s >= u], default=math.inf)
-                for u in range(top + 1)
-            ]
-            for sizes in counts
-        }
-        order = sorted(counts, key=lambda sizes: (counts[sizes], sorted(sizes)))
-        self.needs = [per_set[sizes] for sizes in order for _ in range(counts[sizes])]
-        self.tail = counts[order[-1]]
-        start = (0,) * len(entries)
-        self.levels = [start]
-        self.index = {start: 0}
-        self.moves: dict[int, tuple[list[int], list[tuple[int, int, int]]]] = {}
+    def __init__(self, needs: Sequence[Sequence[float]], tail: int):
+        self.needs = needs
+        self.tail = tail
         self._worst: dict[tuple[int, ...], float] = {(): 0}
         self._fits: dict[tuple[int, ...], int] = {(): 1}
 
@@ -398,46 +382,233 @@ class _SortedLevels:
             )
         return out
 
-    def _build(self, i: int) -> tuple[list[int], list[tuple[int, int, int]]]:
-        # A draw moves x_u of the h_u slots at level u up one level, in
-        # C(h_u, x_u) ways; at the absorbing level the slots stay put.
-        top = self.top
-        grown: list[tuple[tuple[int, ...], int, int]] = [((), 0, 1)]
-        for u, group in itertools.groupby(self.levels[i]):
-            h = len(list(group))
-            up = u + 1 if u < top else u
-            # new stays sorted: u <= u + 1 <= the next level
-            steps = [
-                ((u,) * (h - x) + (up,) * x, x, math.comb(h, x))
-                for x in (range(h + 1) if u < top or self.absorbing else range(1))
-            ]
-            grown = [
-                (new + step, k + x, mult * c)
-                for new, k, mult in grown
-                for step, x, c in steps
-            ]
-        found = []
-        for key, k, mult in grown:
-            worst = self.worst(key)
-            if worst == math.inf:
-                continue
-            j = self.index.get(key)
-            if j is None:
-                j = self.index[key] = len(self.levels)
-                self.levels.append(key)
-            found.append((worst, j, k, mult))
-        found.sort()
-        entry = ([f[0] for f in found], [f[1:] for f in found])
-        self.moves[i] = entry
-        return entry
 
-    def moves_within(self, i: int, remaining: int) -> list[tuple[int, int, int]]:
-        """``(successor, k, multiplicity)`` of the moves from tuple ``i`` to
-        tuples whose worst need is at most ``remaining`` draws."""
-        needs, moves = self.moves.get(i) or self._build(i)
-        if needs[-1] <= remaining:
-            return moves
-        return moves[: bisect_right(needs, remaining)]
+class _Shape(NamedTuple):
+    """All that the level graph of some size sets depends on; see
+    ``_slot_shape``."""
+
+    absorbing: bool
+    top: int
+    needs: tuple[tuple[float, ...], ...]
+    tail: int
+
+
+def _slot_shape(entries: Sequence[frozenset[int]], T: int) -> _Shape:
+    """The size sets ``entries`` over ``T`` draws as the level walk sees
+    them.
+
+    A slot's level is how many memberships it has used so far. ``top`` is
+    the lowest level such that every size set holds either all of
+    ``top..T`` or none of it. When some set holds ``T`` the top level is
+    absorbing: levels from ``top`` on are not told apart. Otherwise ``top``
+    is the largest size and no slot may pass it. ``needs`` holds each slot's
+    needs at levels ``0..top`` (see :class:`_Handouts`); slots of one set
+    are adjacent, and the ``tail`` slots of the most frequent set come last.
+    ``T`` enters only through ``top``: the window ``{t..T}`` has one shape
+    at every ``T``.
+    """
+    absorbing = any(T in sizes for sizes in entries)
+    top = T if absorbing else max(map(max, entries))
+    while absorbing and all((top - 1 in s) == (T in s) for s in entries):
+        top -= 1
+    counts = Counter(entries)
+    per_set = {
+        sizes: tuple(
+            min([s - u for s in sizes if s >= u], default=math.inf)
+            for u in range(top + 1)
+        )
+        for sizes in counts
+    }
+    order = sorted(counts, key=lambda sizes: (counts[sizes], sorted(sizes)))
+    needs = tuple(per_set[sizes] for sizes in order for _ in range(counts[sizes]))
+    return _Shape(absorbing, top, needs, counts[order[-1]])
+
+
+class _LevelGraph(NamedTuple):
+    """The sorted-level walk of one shape, free of any instance.
+
+    The states are the sorted level tuples of the slots whose worst need
+    ``w`` is finite and whose largest level plus ``w`` is at most ``bound``,
+    numbered by worst need: the first ``lives[w]`` have worst need at most
+    ``w``. ``start`` is the all-zero tuple. The moves into state ``c`` are
+    ``starts[c]`` up to ``starts[c + 1]``: move ``i`` comes from state
+    ``src[i]``, and its class ``cid[i]`` has ``ks`` memberships in all and
+    multiplicity ``mults``, Python ints. With several size sets, final
+    state ``c`` weighs ``W // div[c] * adm[c]``; ``div`` counts its
+    orderings and ``adm`` the admissible ones.
+    """
+
+    bound: int
+    start: int
+    lives: list[int]
+    starts: np.ndarray
+    src: np.ndarray
+    cid: np.ndarray
+    ks: np.ndarray
+    mults: np.ndarray
+    div: np.ndarray | None
+    adm: np.ndarray | None
+
+
+class _GraphCacheInfo(NamedTuple):
+    graphs: int
+    moves: int
+    max_moves: int
+
+
+def _cache_by_moves(max_moves: int):
+    """Like ``functools.lru_cache`` for a ``(shape, bound) -> graph``
+    builder, keyed by shape alone and bounded by moves: the least recently
+    used graphs go once all graphs hold more than ``max_moves`` moves. A
+    kept graph serves any bound up to its own; a larger one rebuilds it."""
+
+    def decorate(build):
+        graphs: OrderedDict[_Shape, _LevelGraph] = OrderedDict()
+        moves = 0
+
+        @wraps(build)
+        def cached(shape: _Shape, bound: int) -> _LevelGraph:
+            nonlocal moves
+            graph = graphs.pop(shape, None)
+            if graph is not None:
+                moves -= len(graph.src)
+            if graph is None or graph.bound < bound:
+                graph = build(shape, bound)
+            graphs[shape] = graph
+            moves += len(graph.src)
+            while moves > cached.max_moves:
+                moves -= len(graphs.popitem(last=False)[1].src)
+            return graph
+
+        def cache_clear() -> None:
+            nonlocal moves
+            graphs.clear()
+            moves = 0
+
+        cached.max_moves = max_moves
+        cached.cache_clear = cache_clear
+        cached.cache_info = lambda: _GraphCacheInfo(len(graphs), moves, cached.max_moves)
+        return cached
+
+    return decorate
+
+
+@_cache_by_moves(1 << 20)
+def _level_graph(shape: _Shape, bound: int) -> _LevelGraph:
+    """The level graph of ``shape`` whose states satisfy ``bound``."""
+    absorbing, top, needs, tail = shape
+    s = len(needs)
+    # A need above the bound is as good as infinite: no state may have it.
+    capped = np.array([[min(v, bound + 1) for v in need] for need in needs])
+    low = capped.min(axis=0)
+    # The states, built slot by slot as sorted tuples. A partial tuple's
+    # last level is its largest so far. Its worst need is at least the least
+    # need of any slot at each of its levels, and, as only s - tail of its
+    # levels can go to slots outside the tail, at least the (s - tail + 1)-th
+    # largest tail need among them: exactly that, with one size set.
+    levels = np.zeros((1, 0), dtype=np.intp)
+    last = least = np.zeros(1, dtype=np.intp)
+    largest = np.zeros((1, s - tail + 1), dtype=np.intp)  # ascending
+    for _ in range(s):
+        rows, u = _expand(top + 1 - last)
+        u += last[rows]
+        least = np.maximum(least[rows], low[u])
+        largest = np.sort(np.column_stack([largest[rows], capped[-1, u]]))[:, 1:]
+        worst = np.maximum(least, largest[:, 0])
+        keep = u + worst <= bound
+        last = u[keep]
+        levels = np.column_stack([levels[rows[keep]], last])
+        least, largest, worst = least[keep], largest[keep], worst[keep]
+    if tail < s:
+        handouts = _Handouts(needs, tail)
+        worst = np.array(
+            [min(handouts.worst(tuple(row)), bound + 1) for row in levels.tolist()],
+            dtype=np.intp,
+        )
+        keep = levels[:, -1] + worst <= bound
+        levels, worst = levels[keep], worst[keep]
+    order = np.argsort(worst, kind="stable")
+    levels, worst = levels[order], worst[order]
+    lives = np.searchsorted(worst, np.arange(bound + 1), side="right").tolist()
+
+    # Codes sum_p level_p base^p tell the tuples apart: int64 when the
+    # largest code, the multiplicities (at most 2^s) and the class keys
+    # stay below 2^63, Python ints otherwise.
+    base = top + 1
+    exact = np.int64 if max(base**s, (s + 1) << s) < _INT64_BOUND else object
+    pw = np.array([base**p for p in range(s)], dtype=exact)
+    prefix = np.array(list(itertools.accumulate(pw.tolist(), initial=0)), dtype=exact)
+    codes = (levels.astype(exact) * pw).sum(axis=1)
+    binom = np.array(
+        [[math.comb(h, x) for x in range(s + 1)] for h in range(s + 1)], dtype=exact
+    )
+
+    # A draw moves x of the h slots at one level up one level, in C(h, x)
+    # ways; at the absorbing level the slots stay put. The moved ones are
+    # the last x of their run in the tuple, positions end - x .. end - 1,
+    # which adds prefix[end] - prefix[end - x] to the code. Each state's
+    # runs of equal levels are taken in turn, every move choosing its x.
+    first = np.ones(levels.shape, dtype=bool)
+    first[:, 1:] = levels[:, 1:] != levels[:, :-1]
+    state, col = np.nonzero(first)
+    run = np.cumsum(first, axis=1)[state, col] - 1
+    end = np.append(col[1:], s)
+    end[np.append(state[1:] != state[:-1], True)] = s
+    lifts = levels[state, col] < top
+    grid = (len(levels), run.max() + 1)
+    ends = np.zeros(grid, dtype=np.intp)
+    ends[state, run] = end
+    sizes = np.zeros(grid, dtype=np.intp)
+    sizes[state, run] = end - col
+    lift = np.zeros(grid, dtype=bool)
+    lift[state, run] = lifts
+    movable = sizes if absorbing else sizes * lift
+
+    src = np.arange(len(levels))
+    target, k, mult = codes, np.zeros(len(src), np.intp), np.ones(len(src), exact)
+    for g in range(grid[1]):
+        rows, x = _expand(movable[src, g] + 1)
+        src = src[rows]
+        e = ends[src, g]
+        k = k[rows] + x
+        mult = mult[rows] * binom[sizes[src, g], x]
+        target = target[rows] + prefix[e] - prefix[e - x * lift[src, g]]
+    # Moves to tuples that are not states lie on no live path.
+    lex = np.argsort(codes, kind="stable")
+    found = np.searchsorted(codes[lex], target).clip(max=len(codes) - 1)
+    keep = codes[lex[found]] == target
+    target = lex[found[keep]]
+    order = np.argsort(target, kind="stable")
+    src = src[keep][order]
+    keys = (mult[keep] * (s + 1) + k[keep])[order]
+    flat = np.sort(keys)  # np.unique would import numpy.ma
+    classes = flat[np.append(True, flat[1:] != flat[:-1])]
+    starts = np.searchsorted(target[order], np.arange(len(levels) + 1))
+
+    div = adm = None
+    if tail < s:
+        final = [tuple(row) for row in levels[: lives[0]].tolist()]
+        div = np.array(
+            [
+                math.factorial(s)
+                // math.prod(map(math.factorial, Counter(row).values()))
+                for row in final
+            ],
+            dtype=object,
+        )
+        adm = np.array([handouts.admissible(row) for row in final], dtype=object)
+    return _LevelGraph(
+        bound,
+        int(np.flatnonzero(levels[:, -1] == 0)[0]),
+        lives,
+        starts,
+        src,
+        np.searchsorted(classes, keys),
+        (classes % (s + 1)).astype(np.intp),
+        np.array((classes // (s + 1)).tolist(), dtype=object),
+        div,
+        adm,
+    )
 
 
 def weight_sum_dp(params: Params, spec: SpecLike) -> int:
@@ -449,15 +620,28 @@ def weight_sum_dp(params: Params, spec: SpecLike) -> int:
     ``n - s`` choices, for ``s`` slots besides it, so ``f`` free slots scale
     ``G`` of the others by ``((n - s)_f)^T``. The other slots are walked
     through the draws as one sorted tuple of levels (memberships used so far;
-    see :class:`_SortedLevels`). A draw with ``k`` memberships in all applies
+    see :func:`_slot_shape`). A draw with ``k`` memberships in all applies
     ``(m_i)_k (n - m_i)_(s-k)``; moving ``x`` of the ``h`` slots at one level
     up one counts ``C(h, x)`` ways. A final tuple's weight ``W`` is then its
     orderings times ``G`` of its levels, so it adds ``W / orderings`` times
     its admissible orderings, those that give every slot a size of its own
-    set; with one size set for all slots that is ``W``. Tuples whose worst
-    need exceeds the draws left are pruned: no path through them ends in an
-    admissible ordering, and every tuple left after the last draw has one.
-    With top level ``L`` there are at most ``C(L + s, s)`` tuples.
+    set; with one size set for all slots that is ``W``. With top level ``L``
+    there are at most ``C(L + s, s)`` tuples.
+
+    Tuples whose worst need exceeds the draws left are pruned: no path
+    through them ends in an admissible ordering, and every tuple left after
+    the last draw has one. After ``d`` draws a live tuple's largest level is
+    at most ``d`` and its worst need at most ``T - d``, so only tuples whose
+    largest level plus worst need is at most ``T`` are states of the level
+    graph (:func:`_level_graph`), built once per shape with that bound
+    capped at ``2 L`` and cached. Its states are numbered by worst need, and
+    the pass keeps one weight per live state. A move lowers a slot's need
+    by at most one, as ``need[u] <= 1 + need[u + 1]``, so its source's worst
+    need is at most its target's plus one. The live states with ``R`` draws
+    left are thus a prefix of the numbering, and the sources of the moves
+    into them lie in the prefix that was live with ``R + 1`` left. Each draw
+    is therefore one gather, one multiply and one ``np.add.reduceat`` over
+    the first moves of the graph, grouped by target.
     """
     spec = SizeSpec.coerce(spec)
     _validate_spec(params, spec)
@@ -468,28 +652,21 @@ def weight_sum_dp(params: Params, spec: SpecLike) -> int:
     scale = falling_factorial(n - r, spec.r - r) ** T
     if r == 0:
         return scale
-    walk = _SortedLevels(entries, T)
-
-    states: dict[int, int] = {0: 1}
+    shape = _slot_shape(entries, T)
+    graph = _level_graph(shape, min(T, 2 * shape.top))
+    lives, starts, bound = graph.lives, graph.starts, graph.bound
+    if not lives[0]:
+        return 0
+    W = np.zeros(lives[min(T, bound)], dtype=object)
+    W[graph.start] = 1
     for idx in range(T):
-        remaining = T - idx - 1
-        fac = _draw_factors(n, m[idx], r)
-        nxt: dict[int, int] = {}
-        for state, w in states.items():
-            wk = [w * f for f in fac]
-            for key, k, mult in walk.moves_within(state, remaining):
-                v = wk[k]
-                if v:
-                    nxt[key] = nxt.get(key, 0) + v * mult
-        states = nxt
-    if walk.tail == r:
-        return scale * sum(states.values())
-    total = 0
-    for i, w in states.items():
-        levels = walk.levels[i]
-        repeats = math.prod(map(math.factorial, Counter(levels).values()))
-        total += w // (math.factorial(r) // repeats) * walk.admissible(levels)
-    return scale * total
+        c = lives[min(T - idx - 1, bound)]
+        coef = np.array(_draw_factors(n, m[idx], r), dtype=object)[graph.ks] * graph.mults
+        b = starts[c]
+        W = np.add.reduceat(W[graph.src[:b]] * coef[graph.cid[:b]], starts[:c])
+    if graph.div is not None:
+        W = W // graph.div * graph.adm
+    return scale * W.sum()
 
 
 # The most table cells a dense walk keeps alive. A walk over Python integers
@@ -497,9 +674,6 @@ def weight_sum_dp(params: Params, spec: SpecLike) -> int:
 # of 2^22 cells (n=11, T=3, r=10) peaks near 120 MB. The int64 walk takes its
 # vectors in chunks that stay within it (see _chunk_vectors): 32 MB of cells.
 TABLE_CELL_LIMIT = 1 << 22
-
-# The int64 walk is exact while ((n)_r)^T stays below this; see _prefix_tables.
-_INT64_BOUND = 1 << 63
 
 # Fewer vectors than this walk faster one at a time than in batches, which
 # pay numpy's fixed cost of about ten calls per draw.

@@ -301,6 +301,72 @@ def test_dp_matches_naive_on_eight_slots_of_three_sets():
     assert weight_sum_dp(params, spec) == weight_sum_naive(params, spec)
 
 
+def _graph_for(params, spec):
+    entries = SizeSpec.coerce(spec).entries
+    shape = core._slot_shape(entries, params.T)
+    return core._level_graph(shape, min(params.T, 2 * shape.top))
+
+
+def test_level_graph_is_shared_by_instances_of_one_shape():
+    spec = [{2, 3}, {2, 3}, {4}]
+    first, second = Params(9, (4, 5, 2, 7, 3, 6)), Params(11, (2, 9, 5, 5, 1, 10))
+    core._level_graph.cache_clear()
+    warm = [weight_sum_dp(first, spec), weight_sum_dp(second, spec)]
+    assert core._level_graph.cache_info().graphs == 1
+    graph = _graph_for(first, spec)
+    assert _graph_for(second, spec) is graph
+    for params, value in zip((first, second), warm):
+        core._level_graph.cache_clear()
+        assert weight_sum_dp(params, spec) == value == weight_sum_naive(params, spec)
+
+
+def test_level_graph_serves_an_at_least_window_at_every_T():
+    # {3..T} has one shape at every T, and from T = 6 = 2 * top on one
+    # state bound: the graph built at T = 6 serves T = 9 unchanged.
+    short, long = Params(10, (3, 8, 5, 6, 2, 7)), Params(12, (5, 9, 2, 11, 4, 6, 8, 3, 7))
+    specs = {p: [range(3, p.T + 1)] * 2 for p in (short, long)}
+    core._level_graph.cache_clear()
+    warm = [weight_sum_dp(p, specs[p]) for p in (short, long)]
+    assert core._level_graph.cache_info().graphs == 1
+    assert _graph_for(short, specs[short]) is _graph_for(long, specs[long])
+    for params, value in zip((short, long), warm):
+        core._level_graph.cache_clear()
+        spec = specs[params]
+        assert weight_sum_dp(params, spec) == value == weight_sum_naive(params, spec)
+
+
+@pytest.mark.parametrize(
+    "params, spec",
+    [
+        # beyond int64 in the weights alone
+        (Params(100, (90,) * 12), [2, 1]),
+        # 64 slots: the graph's codes and class keys beyond int64 too
+        (Params(130, (40, 46, 30)), [{1}] * 2 + [{0}] * 61 + [{3}]),
+        (Params(130, (70,)), [1] * 64),
+    ],
+)
+def test_dp_returns_exact_python_ints_beyond_int64(params, spec):
+    value = weight_sum_dp(params, spec)
+    assert type(value) is int
+    assert value > 1 << 63
+    assert value == weight_sum_naive(params, spec)
+
+
+def test_level_graph_cache_evicts_past_its_move_bound(monkeypatch):
+    params = Params(8, (3, 5, 4, 6, 2))
+    specs = [[2, 2], [{1, 2}, 3], [3, 3, 3], [{0, 4}, {2, 3}], [1, 1, 2, 2]]
+    core._level_graph.cache_clear()
+    monkeypatch.setattr(core._level_graph, "max_moves", 60)
+    try:
+        for spec in specs:
+            assert weight_sum_dp(params, spec) == weight_sum_naive(params, spec)
+            info = core._level_graph.cache_info()
+            assert info.moves <= 60
+        assert 0 < info.graphs < len(specs)
+    finally:
+        core._level_graph.cache_clear()
+
+
 @pytest.mark.parametrize("n", [2, 3, 6])
 @pytest.mark.parametrize(
     "spec",
