@@ -64,6 +64,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import threading
 from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -465,29 +466,34 @@ def _cache_by_moves(max_moves: int):
     def decorate(build):
         graphs: OrderedDict[_Shape, _LevelGraph] = OrderedDict()
         moves = 0
+        lock = threading.Lock()
 
         @wraps(build)
         def cached(shape: _Shape, bound: int) -> _LevelGraph:
             nonlocal moves
-            graph = graphs.pop(shape, None)
-            if graph is not None:
-                moves -= len(graph.src)
-            if graph is None or graph.bound < bound:
-                graph = build(shape, bound)
-            graphs[shape] = graph
-            moves += len(graph.src)
-            while moves > cached.max_moves:
-                moves -= len(graphs.popitem(last=False)[1].src)
+            with lock:
+                graph = graphs.pop(shape, None)
+                if graph is not None:
+                    moves -= len(graph.src)
+                if graph is None or graph.bound < bound:
+                    graph = build(shape, bound)
+                graphs[shape] = graph
+                moves += len(graph.src)
+                while moves > cached.max_moves:
+                    moves -= len(graphs.popitem(last=False)[1].src)
             return graph
 
         def cache_clear() -> None:
             nonlocal moves
-            graphs.clear()
-            moves = 0
+            with lock:
+                graphs.clear()
+                moves = 0
 
         cached.max_moves = max_moves
         cached.cache_clear = cache_clear
-        cached.cache_info = lambda: _GraphCacheInfo(len(graphs), moves, cached.max_moves)
+        cached.cache_info = lambda: _GraphCacheInfo(
+            len(graphs), moves, cached.max_moves
+        )
         return cached
 
     return decorate
@@ -655,13 +661,12 @@ def weight_sum_dp(params: Params, spec: SpecLike) -> int:
     shape = _slot_shape(entries, T)
     graph = _level_graph(shape, min(T, 2 * shape.top))
     lives, starts, bound = graph.lives, graph.starts, graph.bound
-    if not lives[0]:
-        return 0
     W = np.zeros(lives[min(T, bound)], dtype=object)
     W[graph.start] = 1
     for idx in range(T):
         c = lives[min(T - idx - 1, bound)]
-        coef = np.array(_draw_factors(n, m[idx], r), dtype=object)[graph.ks] * graph.mults
+        fac = np.array(_draw_factors(n, m[idx], r), dtype=object)
+        coef = fac[graph.ks] * graph.mults
         b = starts[c]
         W = np.add.reduceat(W[graph.src[:b]] * coef[graph.cid[:b]], starts[:c])
     if graph.div is not None:

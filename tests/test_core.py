@@ -323,7 +323,8 @@ def test_level_graph_is_shared_by_instances_of_one_shape():
 def test_level_graph_serves_an_at_least_window_at_every_T():
     # {3..T} has one shape at every T, and from T = 6 = 2 * top on one
     # state bound: the graph built at T = 6 serves T = 9 unchanged.
-    short, long = Params(10, (3, 8, 5, 6, 2, 7)), Params(12, (5, 9, 2, 11, 4, 6, 8, 3, 7))
+    short = Params(10, (3, 8, 5, 6, 2, 7))
+    long = Params(12, (5, 9, 2, 11, 4, 6, 8, 3, 7))
     specs = {p: [range(3, p.T + 1)] * 2 for p in (short, long)}
     core._level_graph.cache_clear()
     warm = [weight_sum_dp(p, specs[p]) for p in (short, long)]

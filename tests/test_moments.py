@@ -180,22 +180,24 @@ def test_factorial_moments_match_oracle():
 
 @pytest.mark.parametrize(
     "params",
-    [Params(8, (3, 4, 4)), Params(6, (2, 3, 5, 1)), Params(7, (7, 2)), Params(9, (3, 3, 4))],
+    [
+        Params(8, (3, 4, 4)),
+        Params(6, (2, 3, 5, 1)),
+        Params(7, (7, 2)),
+        Params(9, (3, 3, 4)),
+    ],
 )
 def test_factorial_moments_match_oracle_up_to_r_equals_n(params):
-    # The i-slot norm against the literal pmf for every i up to n: i
-    # identical slots of one window, where the DP tests stop at 8 slots.
+    # The i-slot norm against the literal pmf's i-th factorial moment, for
+    # every i up to n: i identical slots of one window.
     from occukit.combinat import falling_factorial
     from occukit.core import SizeSpec, occupancy_norm
 
     for t in range(1, params.T + 1):
         for mode in TailMode:
-            pmf = exhaustive_pmf(params, t, mode)
+            probabilities = exhaustive_pmf(params, t, mode).probabilities
             sizes = threshold_sizes(params.T, t, mode)
             for i in range(1, params.n + 1):
                 norm = occupancy_norm(params, SizeSpec.repeated(sizes, i))
-                oracle = sum(
-                    (q * falling_factorial(x, i) for x, q in pmf.probabilities.items()),
-                    Fraction(0),
-                )
-                assert norm == oracle, (params, t, mode, i)
+                terms = (q * falling_factorial(x, i) for x, q in probabilities.items())
+                assert norm == sum(terms, Fraction(0)), (params, t, mode, i)
