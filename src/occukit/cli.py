@@ -309,7 +309,7 @@ def _stream_block(
         classes.append(cls)
         return tail(verdict)
 
-    cells = [cell(p) for p, _, _ in p_list]
+    cells = [cell(p) for p, _ in p_list]
     for m, row in _block_rows(grid, block, record):
         lead = head(n, T, r, m)
         sink.write("".join([lead + text + shared for text, shared in zip(cells, row)]))

@@ -333,57 +333,6 @@ def _expand(reps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows, np.arange(len(rows)) - np.repeat(np.cumsum(reps) - reps, reps)
 
 
-class _Handouts:
-    """Worst needs and admissible orderings of sorted levels on slots of
-    several size sets.
-
-    ``needs[j][u]`` is the fewest further memberships that take slot ``j``
-    from level ``u`` to a size of its set, inf when none can; the last
-    ``tail`` slots share one set. A tuple's *worst need* is, over every way
-    to hand its levels to the slots, the least possible largest need. Both
-    recursions hand one level to one slot at a time and keep their results
-    per tuple of levels left, so no ordering of all the levels is listed.
-    """
-
-    __slots__ = ("needs", "tail", "_worst", "_fits")
-
-    def __init__(self, needs: Sequence[Sequence[float]], tail: int):
-        self.needs = needs
-        self.tail = tail
-        self._worst: dict[tuple[int, ...], float] = {(): 0}
-        self._fits: dict[tuple[int, ...], int] = {(): 1}
-
-    def worst(self, levels: tuple[int, ...]) -> float:
-        """Worst need of the sorted ``levels`` on the last ``len(levels)``
-        slots."""
-        out = self._worst.get(levels)
-        if out is None:
-            need = self.needs[-len(levels)]
-            if len(levels) <= self.tail:  # the slots left share one set
-                out = max([need[u] for u in levels])
-            else:
-                out = math.inf
-                for i, u in enumerate(levels):
-                    if need[u] < out and (i == 0 or levels[i - 1] != u):
-                        rest = self.worst(levels[:i] + levels[i + 1:])
-                        out = min(out, max(need[u], rest))
-            self._worst[levels] = out
-        return out
-
-    def admissible(self, levels: tuple[int, ...]) -> int:
-        """Orderings of the sorted ``levels`` on the last ``len(levels)``
-        slots that give every slot a size of its own set."""
-        out = self._fits.get(levels)
-        if out is None:
-            need = self.needs[-len(levels)]
-            out = self._fits[levels] = sum(
-                self.admissible(levels[:i] + levels[i + 1:])
-                for i, u in enumerate(levels)
-                if need[u] == 0 and (i == 0 or levels[i - 1] != u)
-            )
-        return out
-
-
 class _Shape(NamedTuple):
     """All that the level graph of some size sets depends on; see
     ``_slot_shape``."""
@@ -391,7 +340,6 @@ class _Shape(NamedTuple):
     absorbing: bool
     top: int
     needs: tuple[tuple[float, ...], ...]
-    tail: int
 
 
 def _slot_shape(entries: Sequence[frozenset[int]], T: int) -> _Shape:
@@ -402,9 +350,18 @@ def _slot_shape(entries: Sequence[frozenset[int]], T: int) -> _Shape:
     the lowest level such that every size set holds either all of
     ``top..T`` or none of it. When some set holds ``T`` the top level is
     absorbing: levels from ``top`` on are not told apart. Otherwise ``top``
-    is the largest size and no slot may pass it. ``needs`` holds each slot's
-    needs at levels ``0..top`` (see :class:`_Handouts`); slots of one set
-    are adjacent, and the ``tail`` slots of the most frequent set come last.
+    is the largest size and no slot may pass it. ``needs[j][u]`` is the
+    fewest further memberships that take slot ``j`` from level ``u`` to a
+    size of its set, inf when none can, for ``u`` in ``0..top``; slots of
+    one set are adjacent, the sets in a fixed order.
+
+    A tuple's *worst need* is, over every way to hand its levels to the
+    slots, the least possible largest need. By Hall's theorem on the
+    matching of levels to slots, the largest need can be at most ``w``
+    exactly when, for every group of distinct sets holding ``c`` slots in
+    all, at least ``c`` of the levels have need at most ``w`` for some set
+    of the group. The worst need is thus the largest, over the groups, of
+    the ``c``-th smallest of the levels' least needs for the group.
     ``T`` enters only through ``top``: the window ``{t..T}`` has one shape
     at every ``T``.
     """
@@ -412,17 +369,37 @@ def _slot_shape(entries: Sequence[frozenset[int]], T: int) -> _Shape:
     top = T if absorbing else max(map(max, entries))
     while absorbing and all((top - 1 in s) == (T in s) for s in entries):
         top -= 1
-    counts = Counter(entries)
-    per_set = {
-        sizes: tuple(
+    needs = []
+    for sizes in sorted(set(entries), key=sorted):
+        need = tuple(
             min([s - u for s in sizes if s >= u], default=math.inf)
             for u in range(top + 1)
         )
-        for sizes in counts
-    }
-    order = sorted(counts, key=lambda sizes: (counts[sizes], sorted(sizes)))
-    needs = tuple(per_set[sizes] for sizes in order for _ in range(counts[sizes]))
-    return _Shape(absorbing, top, needs, counts[order[-1]])
+        needs += [need] * entries.count(sizes)
+    return _Shape(absorbing, top, tuple(needs))
+
+
+def _admissible(
+    needs: Sequence[Sequence[float]], final: Iterable[tuple[int, ...]]
+) -> list[int]:
+    """For each sorted tuple of levels in ``final``, its orderings on the
+    slots of ``needs`` (see ``_slot_shape``) that give every slot a size of
+    its own set. The recursion hands one level to one slot at a time and
+    keeps its counts per tuple of levels left, so no ordering of all the
+    levels is listed."""
+
+    @lru_cache(maxsize=None)
+    def fits(levels: tuple[int, ...]) -> int:
+        if not levels:
+            return 1
+        need = needs[-len(levels)]
+        return sum(
+            fits(levels[:i] + levels[i + 1:])
+            for i, u in enumerate(levels)
+            if need[u] == 0 and (i == 0 or levels[i - 1] != u)
+        )
+
+    return [fits(levels) for levels in final]
 
 
 class _LevelGraph(NamedTuple):
@@ -502,35 +479,35 @@ def _cache_by_moves(max_moves: int):
 @_cache_by_moves(1 << 20)
 def _level_graph(shape: _Shape, bound: int) -> _LevelGraph:
     """The level graph of ``shape`` whose states satisfy ``bound``."""
-    absorbing, top, needs, tail = shape
+    absorbing, top, needs = shape
     s = len(needs)
     # A need above the bound is as good as infinite: no state may have it.
     capped = np.array([[min(v, bound + 1) for v in need] for need in needs])
     low = capped.min(axis=0)
     # The states, built slot by slot as sorted tuples. A partial tuple's
-    # last level is its largest so far. Its worst need is at least the least
-    # need of any slot at each of its levels, and, as only s - tail of its
-    # levels can go to slots outside the tail, at least the (s - tail + 1)-th
-    # largest tail need among them: exactly that, with one size set.
+    # last level is its largest so far, and its worst need is at least the
+    # least need of any slot at each of its levels: Hall's condition for the
+    # group of all size sets (see _slot_shape).
     levels = np.zeros((1, 0), dtype=np.intp)
-    last = least = np.zeros(1, dtype=np.intp)
-    largest = np.zeros((1, s - tail + 1), dtype=np.intp)  # ascending
+    last = worst = np.zeros(1, dtype=np.intp)
     for _ in range(s):
         rows, u = _expand(top + 1 - last)
         u += last[rows]
-        least = np.maximum(least[rows], low[u])
-        largest = np.sort(np.column_stack([largest[rows], capped[-1, u]]))[:, 1:]
-        worst = np.maximum(least, largest[:, 0])
+        worst = np.maximum(worst[rows], low[u])
         keep = u + worst <= bound
-        last = u[keep]
+        last, worst = u[keep], worst[keep]
         levels = np.column_stack([levels[rows[keep]], last])
-        least, largest, worst = least[keep], largest[keep], worst[keep]
-    if tail < s:
-        handouts = _Handouts(needs, tail)
-        worst = np.array(
-            [min(handouts.worst(tuple(row)), bound + 1) for row in levels.tolist()],
-            dtype=np.intp,
-        )
+    # Then each proper group of the distinct sets, one row of needs and a
+    # slot count per set, raises the worst need to its own condition.
+    firsts = [j for j in range(s) if j == 0 or needs[j] != needs[j - 1]]
+    sets, counts = capped[firsts], np.diff(firsts + [s])
+    groups = itertools.chain.from_iterable(
+        itertools.combinations(range(len(sets)), size) for size in range(1, len(sets))
+    )
+    for group in map(list, groups):
+        c = counts[group].sum()
+        need = sets[group].min(axis=0)[levels]
+        worst = np.maximum(worst, np.partition(need, c - 1, axis=1)[:, c - 1])
         keep = levels[:, -1] + worst <= bound
         levels, worst = levels[keep], worst[keep]
     order = np.argsort(worst, kind="stable")
@@ -592,7 +569,7 @@ def _level_graph(shape: _Shape, bound: int) -> _LevelGraph:
     starts = np.searchsorted(target[order], np.arange(len(levels) + 1))
 
     div = adm = None
-    if tail < s:
+    if len(sets) > 1:
         final = [tuple(row) for row in levels[: lives[0]].tolist()]
         div = np.array(
             [
@@ -602,7 +579,7 @@ def _level_graph(shape: _Shape, bound: int) -> _LevelGraph:
             ],
             dtype=object,
         )
-        adm = np.array([handouts.admissible(row) for row in final], dtype=object)
+        adm = np.array(_admissible(needs, final), dtype=object)
     return _LevelGraph(
         bound,
         int(np.flatnonzero(levels[:, -1] == 0)[0]),
@@ -636,11 +613,14 @@ def weight_sum_dp(params: Params, spec: SpecLike) -> int:
 
     Tuples whose worst need exceeds the draws left are pruned: no path
     through them ends in an admissible ordering, and every tuple left after
-    the last draw has one. After ``d`` draws a live tuple's largest level is
-    at most ``d`` and its worst need at most ``T - d``, so only tuples whose
-    largest level plus worst need is at most ``T`` are states of the level
-    graph (:func:`_level_graph`), built once per shape with that bound
-    capped at ``2 L`` and cached. Its states are numbered by worst need, and
+    the last draw has one. The worst need is exact, from Hall's condition
+    (see :func:`_slot_shape`): the largest, over the groups of distinct
+    size sets, of the ``c``-th smallest of the levels' least needs for the
+    group, where ``c`` is the group's slot count. After ``d`` draws a live
+    tuple's largest level is at most ``d`` and its worst need at most
+    ``T - d``, so only tuples whose largest level plus worst need is at
+    most ``T`` are states of the level graph (:func:`_level_graph`), built
+    once per shape with that bound capped at ``2 L`` and cached. Its states are numbered by worst need, and
     the pass keeps one weight per live state. A move lowers a slot's need
     by at most one, as ``need[u] <= 1 + need[u + 1]``, so its source's worst
     need is at most its target's plus one. The live states with ``R`` draws

@@ -222,7 +222,7 @@ def _p_vectors(grid: GridSpec, T: int, r: int) -> Iterator[tuple[int, ...]]:
 
 def _blocks(grid: GridSpec) -> Iterator[tuple]:
     """Every (n, T, r) block in grid order, as ``(n, T, r, p_list, den_lhs,
-    den_rhs, cell)``: the block's ``(p, sorted p, class)`` triples in order,
+    den_rhs, cell)``: the block's ``(p, sorted p)`` pairs in order,
     then ``n^(r(T-1))`` and ``((n)_r)^(T-1)``, the denominators of the two
     sides in the block (a margin's is their product), then what the blocks
     of one (n, T) share, built once: ``(m_classes, plan, singles)``, the
@@ -236,10 +236,7 @@ def _blocks(grid: GridSpec) -> Iterator[tuple]:
             singles = np.concatenate(list(_prefix_tables(n, 1, plan, range(T + 1))))
             cell = (m_classes, plan, singles)
             for r in grid.r_values:
-                p_list = [
-                    (p, tuple(sorted(p)), classify_sizes(p))
-                    for p in _p_vectors(grid, T, r)
-                ]
+                p_list = [(p, tuple(sorted(p))) for p in _p_vectors(grid, T, r)]
                 yield (n, T, r, p_list, n ** (r * (T - 1)),
                        falling_factorial(n, r) ** (T - 1), cell)
 
@@ -259,7 +256,7 @@ def _block_classes(block: tuple) -> Iterator[tuple]:
     ``rhs = G / den_rhs`` and the margin is ``num / (den_lhs * den_rhs)``.
     """
     n, T, r, p_list, den_lhs, den_rhs, (m_classes, plan, singles) = block
-    counts = sorted(Counter(p_sorted for _, p_sorted, _ in p_list).items())
+    counts = sorted(Counter(p_sorted for _, p_sorted in p_list).items())
     p_classes = [(p, classify_sizes(p).value, count) for p, count in counts]
     joints = _prefix_tables(n, r, plan, _table_codes(T, [p for p, _ in counts]))
     rows = (row for chunk in joints for row in chunk)
@@ -301,13 +298,13 @@ def _block_rows(
             records = {}
             _, group = next(groups)
             for cls in group:
-                _, p, _, _, lhs, rhs, num = cls
+                _, p, name, _, lhs, rhs, num = cls
                 records[p] = record(cls, InequalityVerdict(
                     params=params, p=p, lhs=Fraction(lhs, den_lhs),
                     rhs=Fraction(rhs, den_rhs), margin=Fraction(num, den),
-                    holds=num >= 0, proximity=classify_sizes(p),
+                    holds=num >= 0, proximity=ProximityClass(name),
                 ))
-            rows[m] = [records[p_sorted] for _, p_sorted, _ in p_list]
+            rows[m] = [records[p_sorted] for _, p_sorted in p_list]
         yield m, rows[key]
 
 
@@ -317,7 +314,7 @@ def _block_verdicts(grid: GridSpec, block: tuple) -> Iterator[InequalityVerdict]
     n, _, _, p_list, *_ = block
     for m, row in _block_rows(grid, block, lambda cls, verdict: verdict):
         params = Params(n, m)
-        for (p, _, _), verdict in zip(p_list, row):
+        for (p, _), verdict in zip(p_list, row):
             yield InequalityVerdict(params, p, *verdict[2:])
 
 

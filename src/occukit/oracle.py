@@ -164,7 +164,7 @@ def exhaustive_pmf(
 ) -> ExactPmf:
     """Exact distribution of the occupancy count by full enumeration."""
     threshold_sizes(params.T, t, mode)  # validates t
-    budget = _as_index(budget, "budget")
+    budget = _as_index(budget, "budget", 0)
     count = exhaustive_outcome_count(params)
     if count > budget:
         raise BudgetExceededError(count, budget)
@@ -359,7 +359,7 @@ def compare_report(
         raise ValueError(f"unknown comparison method {method!r}")
     threads = _as_index(threads, "threads", 1)
     max_order = _as_index(max_order, "max_order", 1)
-    budget = _as_index(budget, "budget")
+    budget = _as_index(budget, "budget", 0)
     trials = _as_index(trials, "trials", 1)
     seed = _as_index(seed, "seed", 0, _MAX_SEED)
     if method == "auto":

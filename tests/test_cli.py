@@ -157,6 +157,20 @@ def test_budget_exit_code(capsys, monkeypatch):
     assert "budget exceeded" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["pmf", "compare"])
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_negative_budget_is_a_usage_error(capsys, monkeypatch, command, source):
+    argv = [command, "--n", "5", "--m", "2,3", "--t", "2", "--mode", "atleast"]
+    if source == "flag":
+        argv += ["--budget", "-1"]
+    else:
+        monkeypatch.setenv("OCCUKIT_BUDGET", "-1")
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "budget must be at least 0, got -1" in captured.err
+
+
 def test_moments_command(capsys):
     code, payload = _run_json(
         capsys,

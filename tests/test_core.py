@@ -307,6 +307,48 @@ def _graph_for(params, spec):
     return core._level_graph(shape, min(params.T, 2 * shape.top))
 
 
+def _brute_lives(entries, top, bound):
+    """``lives`` of the level graph by brute force: a sorted tuple of levels
+    ``0..top`` has as worst need the least, over its distinct orderings on
+    the slots, of the largest need; it is a state when its largest level
+    plus that is at most ``bound``."""
+    needs = [
+        [min([v - u for v in sizes if v >= u], default=math.inf) for u in range(top + 1)]
+        for sizes in entries
+    ]
+    worsts = []
+    for levels in itertools.combinations_with_replacement(range(top + 1), len(needs)):
+        worst = min(
+            max(need[u] for need, u in zip(needs, order))
+            for order in set(itertools.permutations(levels))
+        )
+        if levels[-1] + worst <= bound:
+            worsts.append(worst)
+    return [sum(w <= bound_w for w in worsts) for bound_w in range(bound + 1)]
+
+
+@pytest.mark.parametrize(
+    "params, spec",
+    [
+        (Params(8, (3, 5, 4, 6, 2)), [{1, 2}, {1, 2}, {4}]),
+        (Params(8, (3, 5, 4, 6, 2, 7)), [range(4, 7), {1}, {2, 3}]),
+        (Params(8, (3, 5, 4, 6, 2, 7)), [{0, 4}, {2, 3}, {2, 3}, {5}]),
+        (Params(10, (3, 8, 5, 6, 2, 7, 4)), [{1}, {3}, {5}, {6}]),
+        (Params(8, (3, 5, 4, 6, 2, 7)), [{0, 4}, {2, 3}, {1}, {5, 6}, {3}]),
+    ],
+)
+def test_level_graph_numbers_states_by_exact_worst_need(params, spec):
+    # A lower bound on the worst need would still sum correctly, over a
+    # larger graph: the numbering itself is compared with brute force.
+    graph = _graph_for(params, spec)
+    entries = SizeSpec.coerce(spec).entries
+    top = core._slot_shape(entries, params.T).top
+    lives = _brute_lives(entries, top, graph.bound)
+    assert graph.lives == lives
+    assert len(graph.starts) - 1 == lives[-1]
+    assert weight_sum_dp(params, spec) == weight_sum_naive(params, spec)
+
+
 def test_level_graph_is_shared_by_instances_of_one_shape():
     spec = [{2, 3}, {2, 3}, {4}]
     first, second = Params(9, (4, 5, 2, 7, 3, 6)), Params(11, (2, 9, 5, 5, 1, 10))

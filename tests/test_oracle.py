@@ -155,6 +155,15 @@ def test_budget_enforcement():
     assert exhaustive_pmf(P53, 1, TailMode.EXACTLY, budget=100)
 
 
+@pytest.mark.parametrize("budget", [-1, -5])
+def test_negative_budget_is_rejected(budget):
+    # Not read as "every instance is over budget", nor as a cue to sample.
+    with pytest.raises(ValueError, match="budget must be at least 0"):
+        exhaustive_pmf(P53, 1, TailMode.EXACTLY, budget=budget)
+    with pytest.raises(ValueError, match="budget must be at least 0"):
+        compare_report(P53, 1, TailMode.EXACTLY, 2, budget=budget)
+
+
 def test_monte_carlo_reproducible():
     params = Params(12, (4, 6))
     a = monte_carlo(params, 1, TailMode.EXACTLY, 40_000, 7)
