@@ -19,13 +19,15 @@ import os
 import sys
 from contextlib import nullcontext
 from functools import lru_cache
-from typing import Any, Callable, Iterator, Sequence, TextIO
+from typing import Any, Callable, ContextManager, Iterator, Sequence, TextIO
 
 from . import render
 from .core import Params, SizeSpec, _as_index, occupancy_norm
 from .errors import BudgetExceededError, DegenerateDenominatorError
 # grid_search is not called here; perfbench/tracing.py wraps this name.
 from .inequality import (
+    _M_POLICIES,
+    _P_POLICIES,
     GridSpec,
     InequalityVerdict,
     SweepSummary,
@@ -38,7 +40,7 @@ from .inequality import (
     near_full_size_reduction,
 )
 from .moments import TailMode, moment_report
-from .oracle import DEFAULT_BUDGET, compare_report, exhaustive_pmf, monte_carlo
+from .oracle import COMPARE_METHODS, compare_report, exhaustive_pmf, monte_carlo
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -76,20 +78,17 @@ def _items(value: str, label: str, example: str) -> list[str]:
 
 
 def _as_int_list(value: Any, label: str) -> tuple[int, ...]:
-    if isinstance(value, (list, tuple)):
-        return tuple(_as_int(v, label) for v in value)
     if isinstance(value, str):
-        items = _items(value, label, "a comma-separated integer list")
-        return tuple(_as_int(p, label) for p in items)
-    return (_as_int(value, label),)
+        value = _items(value, label, "a comma-separated integer list")
+    elif not isinstance(value, (list, tuple)):
+        value = (value,)
+    return tuple(_as_int(v, label) for v in value)
 
 
 def _as_int_range(value: Any, label: str) -> tuple[int, ...]:
     """Accept '3..8', '4', '1,3,5', mixes thereof, or a JSON list."""
-    if isinstance(value, (list, tuple)):
-        return tuple(_as_int(v, label) for v in value)
     if not isinstance(value, str):
-        return (_as_int(value, label),)
+        return _as_int_list(value, label)
     out: list[int] = []
     for part in _items(value, label, "values like '3..8' or '2,4'"):
         if ".." in part:
@@ -123,7 +122,7 @@ def _as_size_sets(value: Any, label: str) -> SizeSpec:
 
 
 def _merge_config(args: argparse.Namespace) -> None:
-    if not getattr(args, "config", None):
+    if args.config is None:
         return
     with open(args.config, "r", encoding="utf-8") as fh:
         values = json.load(fh)
@@ -140,36 +139,54 @@ def _merge_config(args: argparse.Namespace) -> None:
             setattr(args, attr, value)
 
 
-def _require(args: argparse.Namespace, name: str) -> Any:
+_Parse = Callable[[Any, str], Any] | None
+
+
+def _arg(args: argparse.Namespace, name: str, parse: _Parse = _as_int) -> Any:
+    """Required flag ``name``, read by ``parse`` (taken as is without one)."""
+    flag = "--" + name.replace("_", "-")
     value = getattr(args, name, None)
     if value is None:
-        raise _UsageError(f"missing required value --{name.replace('_', '-')}")
-    return value
+        raise _UsageError(f"missing required value {flag}")
+    return value if parse is None else parse(value, flag)
 
 
-def _arg(
-    args: argparse.Namespace, name: str, parse: Callable[[Any, str], Any] = _as_int,
-    default: Any = None,
-) -> Any:
-    """Flag ``name`` read by ``parse``; required unless a default is given."""
-    if default is not None and getattr(args, name, None) is None:
-        return default
-    return parse(_require(args, name), "--" + name.replace("_", "-"))
+_KEYWORDS = {"order": "max_order"}  # library keywords of flags named otherwise
+
+
+def _given(args: argparse.Namespace, *names: str, parse: _Parse = _as_int) -> dict:
+    """The flags of ``names`` that were given, read in that order, as keyword
+    arguments of the library call they feed; the rest keep its defaults."""
+    return {
+        _KEYWORDS.get(name, name): _arg(args, name, parse)
+        for name in names if getattr(args, name) is not None
+    }
 
 
 def _build_params(args: argparse.Namespace) -> Params:
     return Params(_arg(args, "n"), _arg(args, "m", _as_int_list))
 
 
-def _tail_mode(args: argparse.Namespace) -> TailMode:
-    return TailMode.from_string(str(_require(args, "mode")))
+def _instance(args: argparse.Namespace) -> tuple[Params, int, TailMode]:
+    """The (params, t, mode) of one occupancy count, read as n, m, mode, t."""
+    params = _build_params(args)
+    mode = TailMode.from_string(str(_arg(args, "mode", None)))
+    return params, _arg(args, "t"), mode
 
 
-def _default_budget(args: argparse.Namespace) -> int:
+def _budget(args: argparse.Namespace) -> dict[str, int]:
+    """--budget, else ``OCCUKIT_BUDGET``, as the ``budget`` keyword."""
     env = os.environ.get("OCCUKIT_BUDGET")
-    if getattr(args, "budget", None) is None and env is not None:
-        return _as_int(env, "OCCUKIT_BUDGET")
-    return _arg(args, "budget", default=DEFAULT_BUDGET)
+    if args.budget is None and env is not None:
+        return {"budget": _as_int(env, "OCCUKIT_BUDGET")}
+    return _given(args, "budget")
+
+
+def _sink(args: argparse.Namespace) -> ContextManager[TextIO]:
+    """The file named by --output, opened for writing, or stdout."""
+    if args.output is None:
+        return nullcontext(sys.stdout)
+    return open(args.output, "w", encoding="utf-8", newline="")
 
 
 def _emit(
@@ -177,7 +194,7 @@ def _emit(
     csv_text: str | None = None,
 ) -> None:
     """Write the pretty, JSON or (where given) CSV form named by --format."""
-    fmt = getattr(args, "fmt", None) or "pretty"
+    fmt = "pretty" if args.fmt is None else args.fmt
     if fmt == "pretty":
         text = pretty
     elif fmt == "json":
@@ -187,12 +204,8 @@ def _emit(
     else:
         expected = "pretty, json or csv" if csv_text is not None else "pretty or json"
         raise _UsageError(f"unknown format {fmt!r}; expected {expected}")
-    output = getattr(args, "output", None)
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    with _sink(args) as sink:
+        sink.write(text + "\n")
 
 
 def _cmd_norm(args: argparse.Namespace) -> int:
@@ -218,11 +231,7 @@ def _cmd_norm(args: argparse.Namespace) -> int:
 
 
 def _cmd_moments(args: argparse.Namespace) -> int:
-    params = _build_params(args)
-    mode = _tail_mode(args)
-    t = _arg(args, "t")
-    order = _arg(args, "order", default=2)
-    report = moment_report(params, t, mode, max_order=order)
+    report = moment_report(*_instance(args), **_given(args, "order"))
     lines = [
         f"mean      {report.mean} ~= {render.approx_str(report.mean)}",
         f"variance  {report.variance} ~= {render.approx_str(report.variance)}",
@@ -235,10 +244,7 @@ def _cmd_moments(args: argparse.Namespace) -> int:
 
 
 def _cmd_pmf(args: argparse.Namespace) -> int:
-    params = _build_params(args)
-    mode = _tail_mode(args)
-    t = _arg(args, "t")
-    pmf = exhaustive_pmf(params, t, mode, budget=_default_budget(args))
+    pmf = exhaustive_pmf(*_instance(args), **_budget(args))
     lines = [
         f"P(x={x}) = {q}" for x, q in sorted(pmf.probabilities.items())
     ]
@@ -321,18 +327,13 @@ def _cmd_search(args: argparse.Namespace) -> int:
         n_values=_arg(args, "n", _as_int_range),
         T_values=_arg(args, "T", _as_int_range),
         r_values=_arg(args, "r", _as_int_range),
-        m_policy=args.m_policy or "mixed",
-        p_policy=args.p_policy or "proximity",
-        include_full_m=bool(args.include_full_m),
+        **_given(args, "m_policy", "p_policy", "include_full_m", parse=None),
     )
-    fmt = getattr(args, "fmt", None) or "jsonl"
+    fmt = "jsonl" if args.fmt is None else args.fmt
     if fmt not in _SWEEP_TEXT:
         raise _UsageError(f"unknown sweep format {fmt!r}; expected jsonl or csv")
     summary = SweepSummary()
-    output = getattr(args, "output", None)
-    sink_cm = open(output, "w", encoding="utf-8", newline="") if output \
-        else nullcontext(sys.stdout)
-    with sink_cm as sink:
+    with _sink(args) as sink:
         if fmt == "csv":
             csv.writer(sink).writerow(render.VERDICT_CSV_COLUMNS)
         for block in _blocks(grid):
@@ -346,7 +347,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
-    case = _require(args, "case")
+    case = _arg(args, "case", None)
     if case == "p-eq-T":
         params = _build_params(args)
         result = full_size_reduction(params)
@@ -367,9 +368,8 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 
 def _cmd_audit(args: argparse.Namespace) -> int:
     audit = audit_induction_step(
-        _arg(args, "m"),
-        _arg(args, "T", _as_int_range),
-        _arg(args, "n_offsets", _as_int_range, default=(0, 1, 2, 5, 10)),
+        _arg(args, "m"), _arg(args, "T", _as_int_range),
+        **_given(args, "n_offsets", parse=_as_int_range),
     )
     lines = [
         f"T={row.T:<3} n={row.n:<4} lhs={row.lhs_ratio} rhs={row.rhs_ratio} "
@@ -385,16 +385,8 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    params = _build_params(args)
-    mode = _tail_mode(args)
-    t = _arg(args, "t")
-    trials = _arg(args, "trials")
-    seed = _arg(args, "seed", default=0)
-    threads = _arg(args, "threads", default=1)
-    max_order = _arg(args, "max_order", default=4)
-    result = monte_carlo(
-        params, t, mode, trials, seed, max_order=max_order, threads=threads
-    )
+    result = monte_carlo(*_instance(args), _arg(args, "trials"),
+                         **_given(args, "seed", "threads", "max_order"))
     rows = list(enumerate(
         zip(result.raw_moment_estimates, result.standard_errors), start=1
     ))
@@ -407,20 +399,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    params = _build_params(args)
-    mode = _tail_mode(args)
-    t = _arg(args, "t")
-    max_order = _arg(args, "max_order", default=3)
     report = compare_report(
-        params,
-        t,
-        mode,
-        max_order,
-        method=args.method or "auto",
-        budget=_default_budget(args),
-        trials=_arg(args, "trials", default=1_000_000),
-        seed=_arg(args, "seed", default=0),
-        threads=_arg(args, "threads", default=1),
+        *_instance(args), **_given(args, "max_order"),
+        **_given(args, "method", parse=None), **_budget(args),
+        **_given(args, "trials", "seed", "threads"),
     )
     lines = [f"method: {report.method}"]
     for row in report.rows:
@@ -441,11 +423,11 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 # argparse settings of a flag beyond its name and help text.
 _FLAG_SETTINGS: dict[str, dict[str, Any]] = {
     "--format": {"dest": "fmt"},
-    "--m-policy": {"choices": ["uniform", "mixed"]},
-    "--p-policy": {"choices": ["all-equal", "proximity", "relaxed", "all"]},
-    "--include-full-m": {"action": "store_true"},
+    "--m-policy": {"choices": _M_POLICIES},
+    "--p-policy": {"choices": _P_POLICIES},
+    "--include-full-m": {"action": "store_true", "default": None},
     "--case": {"choices": ["p-eq-T", "p-eq-T-minus-1"]},
-    "--method": {"choices": ["auto", "exhaustive", "monte-carlo"]},
+    "--method": {"choices": COMPARE_METHODS},
 }
 
 _COMMON = (("--format", "pretty (default) or json"),
@@ -530,7 +512,14 @@ def _run(argv: Sequence[str] | None) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        return _run(argv)
+        code = _run(argv)
+        sys.stdout.flush()  # a closed stdout shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader of stdout is gone: say nothing, and point stdout at
+        # devnull so that the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
     except (_UsageError, ValueError, TypeError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -46,6 +46,8 @@ from .moments import TailMode, raw_moment, threshold_sizes
 
 DEFAULT_BUDGET = 10_000_000
 
+COMPARE_METHODS = ("auto", "exhaustive", "monte-carlo")
+
 STREAM_VERSION = 2
 
 _BLOCK_TRIALS = 1 << 15
@@ -245,7 +247,7 @@ def monte_carlo(
     t: int,
     mode: TailMode,
     trials: int,
-    seed: int,
+    seed: int = 0,
     *,
     max_order: int = 4,
     threads: int = 1,
@@ -257,7 +259,8 @@ def monte_carlo(
     estimates do not depend on the worker count. ``threads`` must be at
     least 1; no more threads start than there are blocks of trials.
     ``seed`` must lie in ``[0, 2**128)``, the range of the generator's key,
-    so that no two seeds share a stream.
+    so that no two seeds share a stream. With one trial the standard errors
+    are ``nan``; an order whose estimate or error overflows a float raises.
     """
     trials = _as_index(trials, "trials", 1)
     max_order = _as_index(max_order, "max_order", 1)
@@ -290,17 +293,18 @@ def monte_carlo(
         w: sum(c * x**w for x, c in support)
         for w in range(1, 2 * max_order + 1)
     }
-    estimates = []
-    errors = []
+    estimates, errors = [], []
     for v in range(1, max_order + 1):
-        estimates.append(float(Fraction(power_sum[v], trials)))
-        if trials > 1:
-            var_num = trials * power_sum[2 * v] - power_sum[v] ** 2
+        var_num = trials * power_sum[2 * v] - power_sum[v] ** 2
+        var_den = trials**2 * (trials - 1)  # 0 with one trial: no error
+        try:
+            estimates.append(float(Fraction(power_sum[v], trials)))
             errors.append(
-                math.sqrt(float(Fraction(var_num, trials**2 * (trials - 1))))
+                math.sqrt(float(Fraction(var_num, var_den))) if var_den else math.nan
             )
-        else:
-            errors.append(float("nan"))
+        except OverflowError:
+            raise ValueError(f"order {v} leaves the float range: its estimate or "
+                             f"standard error overflows") from None
     return EmpiricalMoments(
         trials=trials,
         seed=seed,
@@ -350,12 +354,13 @@ def compare_report(
     """Moment formula vs. ground truth, order by order.
 
     The exhaustive route asserts exact rational equality; the Monte Carlo
-    route reports z-scores against the simulation's standard errors. With
+    route reports z-scores against the simulation's standard errors (``nan``
+    with one trial, which leaves them undefined). With
     ``method="auto"`` the exhaustive route is taken whenever the instance
     fits the enumeration budget. ``trials``, ``seed`` and ``threads`` are
     checked as ``monte_carlo`` checks them, whichever route runs.
     """
-    if method not in ("auto", "exhaustive", "monte-carlo"):
+    if method not in COMPARE_METHODS:
         raise ValueError(f"unknown comparison method {method!r}")
     threads = _as_index(threads, "threads", 1)
     max_order = _as_index(max_order, "max_order", 1)
@@ -391,10 +396,10 @@ def compare_report(
         est = emp.raw_moment_estimates[v - 1]
         se = emp.standard_errors[v - 1]
         expected = float(formula)
-        if se > 0:
-            z = (est - expected) / se
-        else:
+        if se == 0:
             z = 0.0 if est == expected else math.inf
+        else:  # nan when one trial leaves the standard error undefined
+            z = (est - expected) / se
         rows.append(
             ComparisonRow(
                 order=v, formula=formula, estimate=est, stderr=se, z_score=z

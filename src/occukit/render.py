@@ -2,14 +2,14 @@
 
 Rationals travel as decimal strings of numerator and denominator so a parsed
 file reproduces the in-memory value exactly; the float ``approx`` field is
-advisory display sugar only.
+advisory display sugar only. A float that is not finite is written as null.
 """
 
 from __future__ import annotations
 
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import inf
+from math import inf, isfinite
 from typing import Any, Mapping
 
 from .core import _as_index
@@ -25,6 +25,10 @@ def approx_float(q: Fraction) -> float:
         return inf if q > 0 else -inf
 
 
+def _json_float(x: float) -> float | None:
+    return x if isfinite(x) else None
+
+
 def approx_str(q: Fraction, digits: int = 12) -> str:
     """Decimal rendering to the given number of significant digits."""
     with localcontext() as ctx:
@@ -36,7 +40,7 @@ def fraction_json(q: Fraction) -> dict[str, Any]:
     return {
         "num": str(q.numerator),
         "den": str(q.denominator),
-        "approx": approx_float(q),
+        "approx": _json_float(approx_float(q)),
     }
 
 
@@ -134,7 +138,7 @@ def empirical_json_dict(e: EmpiricalMoments) -> dict[str, Any]:
         "seed": e.seed,
         "stream_version": STREAM_VERSION,
         "estimates": [
-            {"order": v, "value": est, "stderr": se}
+            {"order": v, "value": est, "stderr": _json_float(se)}
             for v, (est, se) in enumerate(
                 zip(e.raw_moment_estimates, e.standard_errors), start=1
             )
@@ -155,8 +159,8 @@ def comparison_json_dict(c: ComparisonReport) -> dict[str, Any]:
             item["equal"] = row.matches
         if row.estimate is not None:
             item["estimate"] = row.estimate
-            item["stderr"] = row.stderr
-            item["z"] = row.z_score
+            item["stderr"] = _json_float(row.stderr)
+            item["z"] = _json_float(row.z_score)
         rows.append(item)
     out: dict[str, Any] = {
         "n": c.params.n,

@@ -1,8 +1,13 @@
 import csv
 import io
 import json
+import math
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,9 +19,10 @@ from occukit.inequality import (
     grid_search, summarize_sweep,
 )
 from occukit.moments import TailMode
-from occukit.oracle import monte_carlo
+from occukit.oracle import STREAM_VERSION, compare_report, monte_carlo
 from occukit.render import (
     VERDICT_CSV_COLUMNS,
+    approx_float,
     approx_str,
     fraction_from_json,
     fraction_json,
@@ -46,6 +52,29 @@ def test_approx_str_significant_digits():
     assert approx_str(Fraction(0)) == "0"
     text = approx_str(Fraction(2, 3))
     assert len(text.replace("0.", "")) == 12
+
+
+def test_approx_float_saturates_beyond_the_float_range():
+    assert approx_float(Fraction(1, 3)) == 1 / 3
+    assert approx_float(Fraction(10**400, 3)) == math.inf
+    assert approx_float(Fraction(-(10**400), 3)) == -math.inf
+
+
+def _strict_json(text: str):
+    """``text`` parsed as strict JSON, which has no NaN or Infinity."""
+    def reject(name):
+        raise ValueError(f"not strict JSON: {name}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_fraction_json_beyond_the_float_range_is_strict(capsys):
+    assert _strict_json(json.dumps(fraction_json(Fraction(10**400, 3))))["approx"] is None
+    zeros = ",".join(["0"] * 120)  # a norm of about 10^356
+    assert main(["norm", "--n", "1000", "--m", "1", "--p", zeros,
+                 "--format", "json"]) == 0
+    value = _strict_json(capsys.readouterr().out)["value"]
+    assert value["approx"] is None
+    assert fraction_from_json(value) > 10**355
 
 
 def test_verdict_csv_row_schema():
@@ -82,13 +111,17 @@ def test_norm_command_json(capsys):
     assert payload["value"] == {"num": "28", "den": "5", "approx": 5.6}
 
 
-def test_norm_command_bsets(capsys):
+@pytest.mark.parametrize(
+    "bsets, value", [("1-2,1-2", Fraction(11)), ("0+2,1", Fraction(24, 5))]
+)
+def test_norm_command_bsets(capsys, bsets, value):
+    # '1-2' is a window, '0+2' an explicit set and a bare '1' a singleton
     code, payload = _run_json(
         capsys,
-        ["norm", "--n", "5", "--m", "2,3", "--bsets", "1-2,1-2", "--format", "json"],
+        ["norm", "--n", "5", "--m", "2,3", "--bsets", bsets, "--format", "json"],
     )
     assert code == 0
-    assert fraction_from_json(payload["value"]) == Fraction(11)
+    assert fraction_from_json(payload["value"]) == value
 
 
 def test_norm_domain_error_exit_code(capsys):
@@ -148,6 +181,51 @@ def test_empty_list_items_are_usage_errors(capsys, argv, flag):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"usage error: {flag} expects")
+
+
+@pytest.mark.parametrize(
+    "config, argv, message",
+    [
+        (None, ["norm", "--n", "abc", "--m", "2,3", "--p", "1,1"],
+         "--n expects an integer, got 'abc'"),
+        (None, ["inequality", "search", "--n", "5..3", "--T", "1", "--r", "2"],
+         "--n: empty range '5..3'"),
+        (None, ["norm", "--n", "5", "--m", "2,3", "--bsets", "3-1,1"],
+         "--bsets: empty size window '3-1'"),
+        ([{"n": 5}], ["norm", "--m", "2,3", "--p", "1,1"],
+         "config file must contain a JSON object"),
+        (None, ["moments", "--n", "5", "--m", "2,3", "--mode", "exact"],
+         "missing required value --t"),
+        (None, ["inequality", "search", "--n", "3", "--T", "1", "--r", "2",
+                "--format", "xml"],
+         "unknown sweep format 'xml'; expected jsonl or csv"),
+        ({"case": "x"}, ["inequality", "reduce", "--n", "10", "--m", "3,4"],
+         "unknown reduction case 'x'"),
+        # only an absent flag takes a default: an empty value is an error
+        (None, ["norm", "--n", "5", "--m", "2,3", "--p", "1,1", "--format", ""],
+         "unknown format ''; expected pretty or json"),
+        ({"format": ""}, ["norm", "--n", "5", "--m", "2,3", "--p", "1,1"],
+         "unknown format ''; expected pretty or json"),
+        ({"format": ""}, ["inequality", "search", "--n", "3", "--T", "1", "--r", "2"],
+         "unknown sweep format ''; expected jsonl or csv"),
+        ({"method": ""}, ["compare", "--n", "5", "--m", "2,3", "--t", "1",
+                          "--mode", "exact"],
+         "unknown comparison method ''"),
+        ({"m-policy": ""}, ["inequality", "search", "--n", "3", "--T", "1", "--r", "2"],
+         "m_policy must be one of ('uniform', 'mixed')"),
+        ({"p_policy": ""}, ["inequality", "search", "--n", "3", "--T", "1", "--r", "2"],
+         "p_policy must be one of ('all-equal', 'proximity', 'relaxed', 'all')"),
+        (None, ["norm", "--n", "5", "--m", "2,3", "--p", "1,1", "--output", ""],
+         "[Errno 2] No such file or directory: ''"),
+    ],
+)
+def test_usage_error_messages(capsys, tmp_path, config, argv, message):
+    if config is not None:
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        argv = ["--config", str(path), *argv]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"usage error: {message}\n")
 
 
 def test_budget_exit_code(capsys, monkeypatch):
@@ -326,6 +404,10 @@ def test_chunked_table_walk_matches_one_batch(monkeypatch):
     assert (repr(summarize_sweep(grid_search(grid))), _stream_jsonl(grid)) == want
 
 
+def test_chunked_table_walk_matches_one_batch_on_each_route(monkeypatch, table_route):
+    test_chunked_table_walk_matches_one_batch(monkeypatch)
+
+
 @pytest.mark.parametrize("grid", _STREAM_GRIDS.values(), ids=_STREAM_GRIDS.keys())
 def test_class_weights_count_the_grid_points(grid):
     """Each (sorted m, sorted p) class of a block comes once, in ascending
@@ -429,6 +511,82 @@ def test_compare_command(capsys):
                      "exact", *flags]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and message in captured.err
+
+
+_MC_COMPARE = ["compare", "--n", "30", "--m", "10,12", "--t", "2", "--mode",
+               "atleast", "--method", "monte-carlo", "--max-order", "2",
+               "--trials", "2000", "--seed", "3"]
+
+
+def test_compare_command_monte_carlo(capsys):
+    report = compare_report(Params(30, (10, 12)), 2, TailMode.AT_LEAST, 2,
+                            method="monte-carlo", trials=2000, seed=3)
+    assert main(_MC_COMPARE) == 0
+    assert capsys.readouterr().out.splitlines() == ["method: monte-carlo"] + [
+        f"E(x^{row.order}): formula {row.formula} estimate {row.estimate:.10g} "
+        f"z={row.z_score:.3f}"
+        for row in report.rows
+    ]
+    code, payload = _run_json(capsys, _MC_COMPARE + ["--format", "json"])
+    assert code == 0
+    assert (payload["method"], payload["trials"], payload["seed"]) == (
+        "monte-carlo", 2000, 3)
+    assert payload["stream_version"] == STREAM_VERSION
+    assert [
+        (fraction_from_json(row["formula"]), row["estimate"], row["stderr"], row["z"])
+        for row in payload["rows"]
+    ] == [(row.formula, row.estimate, row.stderr, row.z_score) for row in report.rows]
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["compare", "--n", "30", "--m", "10,12", "--t", "2", "--mode", "atleast",
+          "--method", "monte-carlo", "--trials", "1"], "rows"),
+        (["simulate", "--n", "30", "--m", "10,12", "--t", "2", "--mode", "atleast",
+          "--trials", "1"], "estimates"),
+    ],
+    ids=["compare", "simulate"],
+)
+def test_one_trial_has_no_standard_error(capsys, argv, key):
+    """One trial leaves the standard error, and so z, undefined: JSON
+    writes null for them, and the pretty z reads nan."""
+    assert main(argv + ["--format", "json"]) == 0
+    rows = _strict_json(capsys.readouterr().out)[key]
+    assert rows and all(row["stderr"] is None for row in rows)
+    assert all(row.get("z", None) is None for row in rows)
+    assert main(argv) == 0
+    if key == "rows":
+        lines = capsys.readouterr().out.splitlines()[1:]
+        assert lines and all(line.endswith(" z=nan") for line in lines)
+
+
+def test_simulate_orders_beyond_the_float_range_are_usage_errors(capsys):
+    assert main(["simulate", "--n", "30", "--m", "10,12", "--t", "1", "--mode",
+                 "exact", "--trials", "10", "--max-order", "400"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: order ")
+    assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_closed_stdout_exits_1_silently(fmt):
+    """A reader that stops after one line, as ``| head -n 1`` does, closes
+    the pipe mid-sweep: the CLI exits 1 and writes nothing to stderr."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "occukit.cli", "inequality", "search",
+         "--n", "3..8", "--T", "1..4", "--r", "2", "--format", fmt],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (1, b"")
 
 
 def test_config_file_merging(capsys, tmp_path):

@@ -119,6 +119,8 @@ def test_exhaustive_pmf_deterministic_cases():
     assert pmf.probabilities == {2: Fraction(1)}
     pmf = exhaustive_pmf(Params(3, (3,)), 1, TailMode.EXACTLY)
     assert pmf.probabilities == {3: Fraction(1)}
+    assert pmf.support == (3,)
+    assert exhaustive_pmf(P53, 2, TailMode.AT_LEAST).support == (0, 1, 2)
 
 
 def test_exhaustive_pmf_normalization_and_support():
@@ -230,6 +232,23 @@ def test_monte_carlo_rejects_bad_arguments():
     )
 
 
+def test_monte_carlo_seed_defaults_to_zero():
+    assert monte_carlo(P53, 1, TailMode.EXACTLY, 10) == monte_carlo(
+        P53, 1, TailMode.EXACTLY, 10, 0
+    )
+
+
+def test_monte_carlo_names_the_first_order_beyond_the_float_range():
+    args = (Params(30, (10, 12)), 1, TailMode.EXACTLY, 10)
+    with pytest.raises(ValueError, match=r"^order \d+ ") as info:
+        monte_carlo(*args, max_order=400)
+    first = int(str(info.value).split()[1])
+    # the standard error of order v holds x^(2v): it leaves first
+    assert 100 < first < 200
+    result = monte_carlo(*args, max_order=first - 1)
+    assert all(map(math.isfinite, result.raw_moment_estimates + result.standard_errors))
+
+
 def test_monte_carlo_thread_pool_capped_at_block_count(monkeypatch):
     sizes = []
 
@@ -295,6 +314,13 @@ def test_compare_report_monte_carlo():
     )
     assert report.method == "monte-carlo"
     assert all(abs(row.z_score) <= 5 for row in report.rows)
+
+
+def test_compare_report_one_trial_z_is_undefined():
+    report = compare_report(Params(30, (10, 12)), 2, TailMode.AT_LEAST, 3,
+                            method="monte-carlo", trials=1)
+    assert all(math.isnan(row.stderr) and math.isnan(row.z_score)
+               for row in report.rows)
 
 
 def test_compare_report_method_validation():
