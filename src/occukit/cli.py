@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Subcommands: norm, moments, pmf, inequality (check | search | reduce |
-audit), simulate, compare. Exit codes: 0 success, 1 usage error, 2 domain
-error (degenerate denominator), 3 enumeration budget exceeded.
+audit), simulate, compare. Exit codes: 0 success, 1 usage error or an
+output that cannot be written, 2 domain error (degenerate denominator), 3
+enumeration budget exceeded.
 
 Flags may also come from a JSON config file (``--config``); explicit flags
 win on conflict. The environment variable ``OCCUKIT_BUDGET`` overrides the
@@ -12,14 +13,12 @@ default exhaustive-enumeration budget.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager
 from functools import lru_cache
-from typing import Any, Callable, ContextManager, Iterator, Sequence, TextIO
+from typing import Any, Callable, Iterator, Sequence, TextIO
 
 from . import render
 from .core import Params, SizeSpec, _as_index, occupancy_norm
@@ -29,7 +28,6 @@ from .inequality import (
     _M_POLICIES,
     _P_POLICIES,
     GridSpec,
-    InequalityVerdict,
     SweepSummary,
     _block_rows,
     _blocks,
@@ -182,11 +180,33 @@ def _budget(args: argparse.Namespace) -> dict[str, int]:
     return _given(args, "budget")
 
 
-def _sink(args: argparse.Namespace) -> ContextManager[TextIO]:
-    """The file named by --output, opened for writing, or stdout."""
+class _OutputError(Exception):
+    """An OSError raised while writing, flushing or closing the output."""
+
+
+@contextmanager
+def _writing() -> Iterator[None]:
+    """Raise an OSError of the block as an _OutputError; a closed pipe stays
+    a BrokenPipeError."""
+    try:
+        yield
+    except BrokenPipeError:
+        raise
+    except OSError as exc:
+        raise _OutputError(exc) from exc
+
+
+@contextmanager
+def _sink(args: argparse.Namespace) -> Iterator[TextIO]:
+    """The file named by --output, opened for writing, or stdout. A file
+    that cannot be opened raises OSError."""
     if args.output is None:
-        return nullcontext(sys.stdout)
-    return open(args.output, "w", encoding="utf-8", newline="")
+        with _writing():
+            yield sys.stdout
+        return
+    sink = open(args.output, "w", encoding="utf-8", newline="")
+    with _writing(), sink:
+        yield sink
 
 
 def _emit(
@@ -267,58 +287,27 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _jsonl_tail(verdict: InequalityVerdict) -> str:
-    """The verdict's JSON line from ``"class"`` on: the fields its symmetry
-    class shares, as ``json.dumps`` writes them, with the leading ``{`` cut."""
-    record = render.verdict_json_dict(verdict)
-    for key in ("n", "T", "r", "m", "p"):
-        del record[key]
-    return json.dumps(record)[1:] + "\n"
-
-
-def _csv_tail(verdict: InequalityVerdict) -> str:
-    """The verdict's CSV row from the ``class`` cell on, line end included."""
-    text = io.StringIO()
-    csv.writer(text).writerow(render.verdict_csv_row(verdict)[5:])
-    return text.getvalue()
-
-
-# Per format, a point's record is head(n, T, r, m) + cell(p) + tail(verdict).
-# Head and p cells hold only integers, which neither format quotes or escapes.
-_SWEEP_TEXT: dict[str, tuple[Callable, Callable, Callable]] = {
-    "jsonl": (
-        lambda n, T, r, m:
-            f'{{"n": {n}, "T": {T}, "r": {r}, "m": {json.dumps(m)}, "p": ',
-        lambda p: json.dumps(p) + ", ",
-        _jsonl_tail,
-    ),
-    "csv": (
-        lambda n, T, r, m: f"{n},{T},{r},{';'.join(map(str, m))},",
-        lambda p: ";".join(map(str, p)) + ",",
-        _csv_tail,
-    ),
-}
-
-
 def _stream_block(
     sink: TextIO, fmt: str, grid: GridSpec, block: tuple, summary: SweepSummary,
 ) -> None:
     """Write one (n, T, r) block's points in grid order, each symmetry
-    class's shared fields rendered once, and fold the block's classes into
+    class's shared text rendered once, and fold the block's classes into
     ``summary``. ``first_violations`` is never rendered, so it stays
     empty."""
-    head, cell, tail = _SWEEP_TEXT[fmt]
-    n, T, r, p_list, *_ = block
+    text = render.SWEEP_TEXT[fmt]
+    n, T, r, p_list, den_lhs, den_rhs, _ = block
+    shared = text.classes(den_lhs, den_rhs)
     classes: list[tuple] = []
 
-    def record(cls: tuple, verdict: InequalityVerdict) -> str:
+    def record(cls: tuple) -> str:
         classes.append(cls)
-        return tail(verdict)
+        _, _, name, _, lhs, rhs, num = cls
+        return shared(name, lhs, rhs, num)
 
-    cells = [cell(p) for p, _ in p_list]
+    cells = [text.cell(p) for p, _ in p_list]
     for m, row in _block_rows(grid, block, record):
-        lead = head(n, T, r, m)
-        sink.write("".join([lead + text + shared for text, shared in zip(cells, row)]))
+        lead = text.head(n, T, r, m)
+        sink.write("".join([lead + cell + tail for cell, tail in zip(cells, row)]))
     summary._add_block(block, classes)
 
 
@@ -330,12 +319,11 @@ def _cmd_search(args: argparse.Namespace) -> int:
         **_given(args, "m_policy", "p_policy", "include_full_m", parse=None),
     )
     fmt = "jsonl" if args.fmt is None else args.fmt
-    if fmt not in _SWEEP_TEXT:
+    if fmt not in render.SWEEP_TEXT:
         raise _UsageError(f"unknown sweep format {fmt!r}; expected jsonl or csv")
     summary = SweepSummary()
     with _sink(args) as sink:
-        if fmt == "csv":
-            csv.writer(sink).writerow(render.VERDICT_CSV_COLUMNS)
+        sink.write(render.SWEEP_TEXT[fmt].header)
         for block in _blocks(grid):
             _stream_block(sink, fmt, grid, block, summary)
         summary_obj = render.summary_json_dict(summary)
@@ -513,12 +501,16 @@ def _run(argv: Sequence[str] | None) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         code = _run(argv)
-        sys.stdout.flush()  # a closed stdout shows here, not at exit
+        with _writing():
+            sys.stdout.flush()  # a failed write shows here, not at exit
         return code
     except BrokenPipeError:
         # The reader of stdout is gone: say nothing, and point stdout at
         # devnull so that the flush at exit cannot fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
+    except _OutputError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (_UsageError, ValueError, TypeError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

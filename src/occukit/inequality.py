@@ -191,16 +191,20 @@ def _m_vectors(grid: GridSpec, n: int, T: int) -> Iterator[tuple[int, ...]]:
 def _m_classes(grid: GridSpec, n: int, T: int) -> list[tuple[tuple[int, ...], int]]:
     """Sorted m vectors in ascending order, each with the number of grid m
     vectors that sort to it: ``T!/prod mult!`` under ``mixed``, 1 under
-    ``uniform``."""
+    ``uniform``. Equal values of a sorted vector are adjacent, so ``prod
+    mult!`` is the product, over its entries, of the length of the run of
+    equal values so far."""
     if grid.m_policy == "uniform":
         return [(m, 1) for m in _m_vectors(grid, n, T)]
     limit = n if grid.include_full_m else n - 1
+    whole = math.factorial(T)
     out = []
     for m in itertools.combinations_with_replacement(range(1, limit + 1), T):
-        orbit = math.factorial(T)
-        for mult in Counter(m).values():
-            orbit //= math.factorial(mult)
-        out.append((m, orbit))
+        mults = run = 1
+        for a, b in zip(m, m[1:]):
+            run = run + 1 if a == b else 1
+            mults *= run
+        out.append((m, whole // mults))
     return out
 
 
@@ -274,48 +278,45 @@ _R = TypeVar("_R")
 
 
 def _block_rows(
-    grid: GridSpec, block: tuple, record: Callable[[tuple, InequalityVerdict], _R],
+    grid: GridSpec, block: tuple, record: Callable[[tuple], _R],
 ) -> Iterator[tuple[tuple[int, ...], list[_R]]]:
     """The block's m vectors in grid order, each as ``(m, row)``: ``row[i]``
     is the record of the symmetry class of the point ``(m, p_list[i][0])``.
 
-    A class's record is ``record(cls, verdict)``, made once: ``cls`` is the
-    class as ``_block_classes`` yields it, and ``verdict`` its first point
-    in grid order, (sorted m, sorted p). Product order reaches each sorted m
-    vector before any of its permutations, and the sorted vectors in
+    A class's record is ``record(cls)``, made once, where ``cls`` is the
+    class as ``_block_classes`` yields it. Product order reaches each sorted
+    m vector before any of its permutations, and the sorted vectors in
     ascending order, so the class walk advances exactly at the sorted ones,
     and ``record`` meets the classes in the order ``_block_classes`` yields
     them. Later permutations reuse the sorted vector's row.
     """
-    n, T, r, p_list, den_lhs, den_rhs, _ = block
-    den = den_lhs * den_rhs
+    n, T, _, p_list, *_ = block
     groups = itertools.groupby(_block_classes(block), itemgetter(0))
     rows: dict[tuple[int, ...], list[_R]] = {}
     for m in _m_vectors(grid, n, T):
         key = tuple(sorted(m))
         if m == key:
-            params = Params(n, m)
-            records = {}
             _, group = next(groups)
-            for cls in group:
-                _, p, name, _, lhs, rhs, num = cls
-                records[p] = record(cls, InequalityVerdict(
-                    params=params, p=p, lhs=Fraction(lhs, den_lhs),
-                    rhs=Fraction(rhs, den_rhs), margin=Fraction(num, den),
-                    holds=num >= 0, proximity=ProximityClass(name),
-                ))
+            records = {cls[1]: record(cls) for cls in group}
             rows[m] = [records[p_sorted] for _, p_sorted in p_list]
         yield m, rows[key]
 
 
 def _block_verdicts(grid: GridSpec, block: tuple) -> Iterator[InequalityVerdict]:
-    """The block's points in grid order, each its class's verdict moved to
-    the point's own m and p."""
-    n, _, _, p_list, *_ = block
-    for m, row in _block_rows(grid, block, lambda cls, verdict: verdict):
+    """The block's points in grid order, each with the verdict fields of its
+    class from ``lhs`` on."""
+    n, _, _, p_list, den_lhs, den_rhs, _ = block
+    den = den_lhs * den_rhs
+
+    def record(cls: tuple) -> tuple:
+        _, _, name, _, lhs, rhs, num = cls
+        return (Fraction(lhs, den_lhs), Fraction(rhs, den_rhs), Fraction(num, den),
+                num >= 0, ProximityClass(name))
+
+    for m, row in _block_rows(grid, block, record):
         params = Params(n, m)
-        for (p, _), verdict in zip(p_list, row):
-            yield InequalityVerdict(params, p, *verdict[2:])
+        for (p, _), fields in zip(p_list, row):
+            yield InequalityVerdict(params, p, *fields)
 
 
 class _GridSweep:

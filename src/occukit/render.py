@@ -7,10 +7,10 @@ advisory display sugar only. A float that is not finite is written as null.
 
 from __future__ import annotations
 
-from decimal import Decimal, localcontext
+from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
-from math import inf, isfinite
-from typing import Any, Mapping
+from math import gcd, inf, isfinite
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 from .core import _as_index
 from .inequality import InductionAudit, InequalityVerdict, ReducedCheck, SweepSummary
@@ -84,6 +84,84 @@ def verdict_json_dict(v: InequalityVerdict) -> dict[str, Any]:
         "margin_display": approx_str(v.margin),
         "holds": v.holds,
     }
+
+
+# The streamed sweep, ``occukit inequality search``: ``header``, then per
+# point ``head(n, T, r, m) + cell(p)`` and the text its symmetry class
+# shares, ``classes(den_lhs, den_rhs)(name, lhs, rhs, num)``. A class's text
+# is rendered once, from its integers: lhs = lhs / den_lhs, rhs = rhs /
+# den_rhs, margin = num / (den_lhs * den_rhs), each in lowest terms. A
+# record's bytes are those of ``json.dumps(verdict_json_dict(v))`` or of
+# ``csv.writer`` given ``verdict_csv_row(v)``: neither quotes nor escapes
+# integers, class names, ``/``, ``;`` or a ``Decimal``'s text.
+
+
+class SweepText(NamedTuple):
+    header: str
+    head: Callable[[int, int, int, Sequence[int]], str]
+    cell: Callable[[Sequence[int]], str]
+    classes: Callable[[int, int], Callable[[str, int, int, int], str]]
+
+
+def _fraction_jsonl(num: int, den: int) -> str:
+    """``fraction_json`` of ``num / den`` in lowest terms, as JSON text.
+    ``num / den`` is ``float(Fraction)``'s division: it raises rather than
+    give a float that is not finite."""
+    try:
+        approx = repr(num / den)
+    except OverflowError:
+        approx = "null"
+    return f'{{"num": "{num}", "den": "{den}", "approx": {approx}}}'
+
+
+def _jsonl_classes(den_lhs: int, den_rhs: int) -> Callable[[str, int, int, int], str]:
+    den = den_lhs * den_rhs
+    context = getcontext().copy()
+    context.prec = 12  # approx_str's default digits
+    divide = context.divide
+
+    def text(name: str, lhs: int, rhs: int, num: int) -> str:
+        a, b, c = gcd(lhs, den_lhs), gcd(rhs, den_rhs), gcd(num, den)
+        mn, md = num // c, den // c
+        return (
+            f'"class": "{name}", "lhs": {_fraction_jsonl(lhs // a, den_lhs // a)}, '
+            f'"rhs": {_fraction_jsonl(rhs // b, den_rhs // b)}, '
+            f'"margin": {_fraction_jsonl(mn, md)}, '
+            f'"margin_display": "{divide(Decimal(mn), Decimal(md))!s}", '
+            f'"holds": {"true" if num >= 0 else "false"}}}\n'
+        )
+
+    return text
+
+
+def _csv_classes(den_lhs: int, den_rhs: int) -> Callable[[str, int, int, int], str]:
+    den = den_lhs * den_rhs
+
+    def text(name: str, lhs: int, rhs: int, num: int) -> str:
+        a, b, c = gcd(lhs, den_lhs), gcd(rhs, den_rhs), gcd(num, den)
+        return (
+            f"{name},{lhs // a}/{den_lhs // a},{rhs // b}/{den_rhs // b},"
+            f"{num // c},{den // c},{'true' if num >= 0 else 'false'}\r\n"
+        )
+
+    return text
+
+
+def _jsonl_head(n: int, T: int, r: int, m: Sequence[int]) -> str:
+    return f'{{"n": {n}, "T": {T}, "r": {r}, "m": [{", ".join(map(str, m))}], "p": '
+
+
+SWEEP_TEXT = {
+    "jsonl": SweepText(
+        "", _jsonl_head, lambda p: f'[{", ".join(map(str, p))}], ', _jsonl_classes,
+    ),
+    "csv": SweepText(
+        ",".join(VERDICT_CSV_COLUMNS) + "\r\n",
+        lambda n, T, r, m: f"{n},{T},{r},{';'.join(map(str, m))},",
+        lambda p: ";".join(map(str, p)) + ",",
+        _csv_classes,
+    ),
+}
 
 
 def summary_json_dict(s: SweepSummary) -> dict[str, Any]:

@@ -15,8 +15,8 @@ from occukit import cli, core, render
 from occukit.cli import main
 from occukit.core import Params, weight_sum_table
 from occukit.inequality import (
-    GridSpec, SweepSummary, _block_classes, _blocks, _m_classes, check_inequality,
-    grid_search, summarize_sweep,
+    GridSpec, InequalityVerdict, ProximityClass, SweepSummary, _block_classes,
+    _blocks, _m_classes, check_inequality, grid_search, summarize_sweep,
 )
 from occukit.moments import TailMode
 from occukit.oracle import STREAM_VERSION, compare_report, monte_carlo
@@ -350,32 +350,69 @@ def _search_argv(grid: GridSpec, fmt: str) -> list[str]:
     return argv + ["--include-full-m"] * grid.include_full_m
 
 
-@pytest.mark.parametrize("grid", _STREAM_GRIDS.values(), ids=_STREAM_GRIDS.keys())
-def test_search_stream_matches_per_verdict_render(capsys, grid):
-    """The stream renders each class once and splices in each point's own
-    fields; its bytes must equal rendering every verdict on its own."""
+# Each grid streamed to stdout, and README's grid also through --output, the
+# path the benchmark streams to.
+_STREAM_CASES = [
+    *(pytest.param(grid, False, id=name) for name, grid in _STREAM_GRIDS.items()),
+    pytest.param(_STREAM_GRIDS["readme"], True, id="readme-output"),
+]
+
+
+@pytest.mark.parametrize("grid, to_file", _STREAM_CASES)
+def test_search_stream_matches_per_verdict_render(capsys, tmp_path, grid, to_file):
+    """The stream renders each class's text once, from its integers, and
+    splices in each point's own fields; its bytes must equal rendering every
+    verdict on its own."""
     verdicts = list(grid_search(grid))
     summary = json.dumps(render.summary_json_dict(summarize_sweep(grid_search(grid))))
-    assert main(_search_argv(grid, "jsonl")) == 0
-    captured = capsys.readouterr()
-    assert captured.out.splitlines() == [
-        *(json.dumps(render.verdict_json_dict(v)) for v in verdicts), summary
-    ]
-    assert main(_search_argv(grid, "csv")) == 0
-    captured = capsys.readouterr()
-    expected = io.StringIO()
-    writer = csv.writer(expected)
+    rows = io.StringIO()
+    writer = csv.writer(rows)
     writer.writerow(VERDICT_CSV_COLUMNS)
     writer.writerows(verdict_csv_row(v) for v in verdicts)
-    assert captured.out == expected.getvalue()
-    assert captured.err == summary + "\n"
+    jsonl = [*(json.dumps(render.verdict_json_dict(v)) for v in verdicts), summary]
+    for fmt, out, err in (("jsonl", "\n".join(jsonl) + "\n", ""),
+                          ("csv", rows.getvalue(), summary + "\n")):
+        argv = _search_argv(grid, fmt)
+        target = tmp_path / f"stream.{fmt}"
+        if to_file:
+            argv += ["--output", str(target)]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        if to_file:
+            assert captured.out == ""
+            assert target.read_bytes() == out.encode()
+        else:
+            assert captured.out.splitlines(keepends=True) == out.splitlines(keepends=True)
+        assert captured.err == err
 
 
 @pytest.mark.parametrize("grid", _STREAM_GRIDS.values(), ids=_STREAM_GRIDS.keys())
 def test_search_stream_matches_per_verdict_render_on_each_route(
-    capsys, table_route, grid
+    capsys, tmp_path, table_route, grid
 ):
-    test_search_stream_matches_per_verdict_render(capsys, grid)
+    test_search_stream_matches_per_verdict_render(capsys, tmp_path, grid, False)
+
+
+@pytest.mark.parametrize("lhs, rhs, den_lhs, den_rhs", [
+    (10**400, 3, 7, 2**1100),  # lhs and margin beyond a float, rhs below one
+    (6, 10**400, 4, 3),  # a negative margin beyond a float
+    (0, 5, 9, 10),
+])
+def test_sweep_class_text_beyond_the_float_range(lhs, rhs, den_lhs, den_rhs):
+    """A class's text, rendered from its integers, matches the per-verdict
+    render where an ``approx`` is ``null`` or ``0.0``."""
+    num = lhs * den_rhs - rhs * den_lhs
+    verdict = InequalityVerdict(
+        Params(5, (2, 3)), (1, 3), Fraction(lhs, den_lhs), Fraction(rhs, den_rhs),
+        Fraction(num, den_lhs * den_rhs), num >= 0, ProximityClass.RELAXED,
+    )
+    rows = io.StringIO()
+    csv.writer(rows).writerow(verdict_csv_row(verdict))
+    want = {"jsonl": json.dumps(render.verdict_json_dict(verdict)) + "\n",
+            "csv": rows.getvalue()}
+    for fmt, text in render.SWEEP_TEXT.items():
+        shared = text.classes(den_lhs, den_rhs)("relaxed", lhs, rhs, num)
+        assert text.head(5, 2, 2, (2, 3)) + text.cell((1, 3)) + shared == want[fmt]
 
 
 def _stream_jsonl(grid: GridSpec) -> str:
@@ -622,6 +659,43 @@ def test_unopenable_files_are_usage_errors(capsys, tmp_path):
                  "--output", str(missing / "norm.txt")]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("usage error:")
+    assert len(captured.err.splitlines()) == 1
+
+
+_FULL_WRITES = {
+    "norm": ["norm", "--n", "5", "--m", "2,3", "--p", "1,1"],
+    "search-jsonl": ["inequality", "search", "--n", "3..5", "--T", "1..3", "--r", "2"],
+    "search-csv": ["inequality", "search", "--n", "3..5", "--T", "1..3", "--r", "2",
+                   "--format", "csv"],
+}
+_NO_DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                  reason="needs /dev/full")
+
+
+@_NO_DEV_FULL
+@pytest.mark.parametrize("argv", _FULL_WRITES.values(), ids=_FULL_WRITES.keys())
+def test_failed_writes_to_stdout_are_output_errors(argv):
+    """A full disk is not bad input: exit 1 with one ``output error:`` line."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "occukit.cli", *argv], stdout=full,
+            stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": path},
+            timeout=60,
+        )
+    err = proc.stderr.decode()
+    assert proc.returncode == 1
+    assert err.startswith("output error: [Errno 28]") and len(err.splitlines()) == 1
+
+
+@_NO_DEV_FULL
+@pytest.mark.parametrize("argv", _FULL_WRITES.values(), ids=_FULL_WRITES.keys())
+def test_failed_writes_to_output_are_output_errors(capsys, argv):
+    assert main([*argv, "--output", "/dev/full"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("output error: [Errno 28]")
     assert len(captured.err.splitlines()) == 1
 
 
