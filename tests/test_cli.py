@@ -380,9 +380,7 @@ def test_search_stream_matches_per_verdict_render(capsys, tmp_path, grid, to_fil
         captured = capsys.readouterr()
         if to_file:
             assert captured.out == ""
-            assert target.read_bytes() == out.encode()
-        else:
-            assert captured.out.splitlines(keepends=True) == out.splitlines(keepends=True)
+        assert (target.read_bytes().decode() if to_file else captured.out) == out
         assert captured.err == err
 
 
