@@ -498,6 +498,11 @@ def _run(argv: Sequence[str] | None) -> int:
     return args.handler(args)
 
 
+def _drop_stdout() -> None:
+    """Point stdout at devnull, so that the flush at exit cannot fail again."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         code = _run(argv)
@@ -505,12 +510,17 @@ def main(argv: Sequence[str] | None = None) -> int:
             sys.stdout.flush()  # a failed write shows here, not at exit
         return code
     except BrokenPipeError:
-        # The reader of stdout is gone: say nothing, and point stdout at
-        # devnull so that the flush at exit cannot fail again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # The reader of stdout is gone: say nothing.
+        _drop_stdout()
         return EXIT_USAGE
     except _OutputError as exc:
         print(f"output error: {exc}", file=sys.stderr)
+        try:
+            sys.stdout.flush()
+        except OSError:
+            # stdout is the output that failed, and its buffer still holds
+            # what it could not write.
+            _drop_stdout()
         return EXIT_USAGE
     except (_UsageError, ValueError, TypeError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

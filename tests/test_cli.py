@@ -676,10 +676,13 @@ def test_failed_writes_to_stdout_are_output_errors(argv):
     """A full disk is not bad input: exit 1 with one ``output error:`` line."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    # A buffered stdout keeps what it could not write and flushes it again
+    # at exit, so run it buffered, as a shell runs it.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     with open("/dev/full", "w") as full:
         proc = subprocess.run(
             [sys.executable, "-m", "occukit.cli", *argv], stdout=full,
-            stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": path},
+            stderr=subprocess.PIPE, env={**env, "PYTHONPATH": path},
             timeout=60,
         )
     err = proc.stderr.decode()
