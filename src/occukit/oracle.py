@@ -5,7 +5,10 @@ they validate:
 
 * :func:`exhaustive_pmf` enumerates every possible T-tuple of draws (uniform
   product measure) and tallies occupancy counts into an exact rational pmf.
-  Feasible only while ``prod C(n, m_i)`` stays within a budget.
+  Feasible only while ``prod C(n, m_i)`` stays within a budget. Each tuple
+  costs ``O(min m_i + T)``: its coverage histogram is that of its other
+  draws, decoded once per chunk, with the members of its smallest draw
+  moved up one class. Equal histograms are grouped by their bytes.
 * :func:`monte_carlo` samples the coverage histogram with a counter-based RNG
   and reports moment estimates with standard errors. Randomness for a trial
   is a pure function of ``(seed, trial index)``: trials are processed in
@@ -66,20 +69,46 @@ def exhaustive_outcome_count(params: Params) -> int:
     return out
 
 
-# A chunk of the enumeration holds at most this many (tuple, element) cover
-# cells, which bounds its working memory whatever the instance.
+# A chunk of the enumeration holds at most this many 8-byte words of
+# histogram rows (see _coverage_profile_counts), which bounds its working
+# memory whatever the instance.
 _CHUNK_CELLS = 1 << 16
 
 
 def _subsets(n: int, m: int) -> np.ndarray:
     """The ``m``-subsets of ``range(n)`` in ``itertools.combinations`` order,
-    one per column of an ``(m, C(n, m))`` array of element indices."""
+    one per row of a ``(C(n, m), m)`` array of element indices."""
     count = binomial(n, m)
-    members = np.fromiter(
+    return np.fromiter(
         itertools.chain.from_iterable(itertools.combinations(range(n), m)),
         dtype=np.intp, count=count * m,
-    )
-    return np.ascontiguousarray(members.reshape(count, m).T)
+    ).reshape(count, m)
+
+
+def _tally_rows(
+    tally: dict[tuple[int, ...], int], hists: np.ndarray, classes: int
+) -> None:
+    """Add each distinct histogram, the first ``classes`` entries of a row of
+    ``hists``, to ``tally`` with how many rows hold it.
+
+    Each row spans whole uint64 words, zero past ``classes``, and is grouped
+    by its bytes: one ``np.sort`` of the words when a row is one word,
+    ``np.lexsort`` over them otherwise, so equal rows form runs. No count is
+    combined with another, so the grouping is exact whatever the row holds.
+    """
+    keys = hists.view(np.uint64)
+    if keys.shape[1] == 1:
+        keys = np.sort(keys.ravel())
+        changed = keys[1:] != keys[:-1]
+    else:
+        keys = keys[np.lexsort(keys.T)]
+        changed = np.any(keys[1:] != keys[:-1], axis=1)
+    # Runs of equal rows end wherever a row differs from the next.
+    bounds = np.flatnonzero(np.concatenate(([True], changed, [True])))
+    distinct = keys[bounds[:-1]].view(hists.dtype).reshape(len(bounds) - 1, -1)
+    runs = (bounds[1:] - bounds[:-1]).tolist()
+    for hist, tuples in zip(map(tuple, distinct[:, :classes].tolist()), runs):
+        tally[hist] = tally.get(hist, 0) + tuples
 
 
 # One instance's tally at a time: its callers finish every threshold and mode
@@ -92,47 +121,64 @@ def _coverage_profile_counts(params: Params) -> dict[tuple[int, ...], int]:
     covered exactly ``c`` times; the map sends each histogram to how many
     tuples realise it. Every pmf of this instance derives from the tally.
 
-    The enumeration is literal. It walks the flat tuple index
-    ``0 .. prod C(n, m_i) - 1`` in chunks of ``max(1, _CHUNK_CELLS // n)``
-    tuples, decodes each index in mixed radix (last draw fastest) into one
-    subset per draw, and adds one to the tuple's cover of each member of
-    each of those subsets. Each tuple's covers are binned into its histogram,
-    and the chunk's histograms are sorted so that equal ones form a run; runs
-    compare histograms class by class, so the count is exact whatever T is.
+    The enumeration is literal: it visits every tuple once, with no
+    symmetry reduction. The inner draw is one with the fewest members and
+    the other draws form a tuple's prefix. A chunk holds whole prefixes, or
+    a cut of one prefix's inner subsets, and decodes each prefix once, in
+    mixed radix with the last draw fastest, into its cover of each element.
+    A tuple's histogram is then its prefix's histogram with each inner
+    member moved up one class: ``k[c]`` of them, those the prefix covers
+    ``c`` times, leave class ``c`` for ``c + 1``. So a tuple costs
+    ``O(m_inner + T)`` whatever ``n`` is. Histograms are binned as sums of
+    one-hot rows in ``min_scalar_type(n)``, which holds any count up to
+    ``n``, and grouped by their bytes in :func:`_tally_rows`, so the tally
+    is exact whatever ``n`` and ``T`` are. It depends on neither the draw
+    order nor the chunk size.
+
+    A row is ``words`` 8-byte words. A chunk holds at most ``_CHUNK_CELLS``
+    words: ``n`` rows per prefix for its one-hot covers, and per tuple one
+    row per inner member plus its histogram.
     """
     n, T = params.n, params.T
     by_size = {m: _subsets(n, m) for m in set(params.m)}
-    draws = [by_size[m] for m in reversed(params.m)]
-    total = exhaustive_outcome_count(params)
-    rows = min(total, max(1, _CHUNK_CELLS // n))
-    counts_dtype = np.min_scalar_type(T)
+    q = params.m.index(min(params.m))
+    inner = by_size[params.m[q]]
+    outer = [by_size[m] for m in reversed(params.m[:q] + params.m[q + 1:])]
+    span, width = inner.shape
+    outer_count = exhaustive_outcome_count(params) // span
     hist_dtype = np.min_scalar_type(n)
+    # A histogram row is padded with zeros to whole 8-byte words.
+    words = -(-(T + 1) * hist_dtype.itemsize // 8)
+    padded = words * 8 // hist_dtype.itemsize
+    # A chunk is `step` whole prefixes, or `cut` of one prefix's inner subsets.
+    rows = _CHUNK_CELLS // words
+    step = max(1, rows // (n + span * (width + 1)))
+    cut = min(span, max(1, (rows - n) // (width + 1)))
     tally: dict[tuple[int, ...], int] = {}
-    for start in range(0, total, rows):
-        index = np.arange(start, min(start + rows, total), dtype=np.int64)
-        size = len(index)
-        # cover[e, j]: how many of tuple j's subsets hold element e
-        cover = np.zeros(n * size, dtype=counts_dtype)
-        for members in draws:
-            index, subset = np.divmod(index, members.shape[1])
-            cells = np.take(members, subset, axis=1)
-            cells *= size
-            cells += np.arange(size)
-            cover[cells] += 1  # a subset holds each element at most once
-        cover = cover.reshape(n, size)
-        # hists[j, c]: how many elements tuple j covers exactly c times
-        offsets = (T + 1) * np.arange(size)
-        hists = np.bincount(
-            (cover + offsets).ravel(), minlength=(T + 1) * size
-        ).reshape(size, T + 1).astype(hist_dtype)
-        hists = hists[np.lexsort(hists.T)]
-        # A run of equal histograms starts wherever a row differs from the last.
-        first = np.ones(size, dtype=bool)
-        np.any(hists[1:] != hists[:-1], axis=1, out=first[1:])
-        (starts,) = np.nonzero(first)
-        counts = np.diff(starts, append=size)
-        for hist, tuples in zip(map(tuple, hists[starts].tolist()), counts.tolist()):
-            tally[hist] = tally.get(hist, 0) + tuples
+    for first in range(0, outer_count, step):
+        prefixes = min(step, outer_count - first)
+        # cover[e * prefixes + p]: how many of prefix p's subsets hold element e
+        cover = np.zeros(n * prefixes, dtype=np.intp)
+        index = np.arange(first, first + prefixes, dtype=np.int64)
+        for members in outer:
+            index, subset = np.divmod(index, len(members))
+            at = np.take(members, subset, axis=0)
+            at *= prefixes
+            at += np.arange(prefixes)[:, None]
+            cover[at] += 1  # a subset holds each element at most once
+        # ones[e, p]: a histogram row with a one in class cover[e, p]
+        ones = np.zeros((n, prefixes, padded), dtype=hist_dtype)
+        ones.reshape(-1, padded)[np.arange(n * prefixes), cover] = 1
+        base = np.add.reduce(ones, axis=0, dtype=hist_dtype)
+        for lo in range(0, span, cut):
+            # k[s, p, c]: how many members of inner subset lo + s prefix p
+            # covers c times, at most base[p, c]. They move up to class
+            # c + 1; k is 0 from class T on, so no row spills into the next.
+            moved = np.take(ones, inner[lo : lo + cut].T, axis=0)
+            k = np.add.reduce(moved, axis=0, dtype=hist_dtype)
+            hists = base - k
+            hists.reshape(-1)[1:] += k.reshape(-1)[:-1]
+            _tally_rows(tally, hists.reshape(-1, padded), T + 1)
     return tally
 
 

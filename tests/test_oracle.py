@@ -45,6 +45,10 @@ TALLY_CASES = [
     Params(6, (2, 3, 5, 1)), Params(8, (3, 4, 4)), Params(7, (7, 2)),
     Params(4, (2,)), Params(1, (1,)), Params(5, (3,)), Params(4, (4, 1, 4, 2)),
     Params(257, (1,)),
+    # The fewest-member draw, which the enumerator walks innermost, first or
+    # in the middle of m; draws with m_i > n / 2.
+    Params(7, (2, 5, 6)), Params(6, (4, 1, 3)), Params(8, (6, 5, 3)),
+    Params(9, (5, 2, 7)),
 ]
 
 
@@ -63,8 +67,10 @@ def test_tally_matches_literal_enumeration():
 
 @pytest.mark.parametrize(
     "params",
-    # 7 tuples a chunk: 500 = 71 * 7 + 3 and 243 = 34 * 7 + 5 leave a
-    # partial last chunk; T = 65 also sorts histograms of 66 classes.
+    # 7n cells: two whole prefixes of five tuples a chunk for the first, 50
+    # chunks in all, so its last chunk is whole (the chunk tests below leave
+    # a partial one); one tuple a chunk for the second, whose histograms of
+    # 66 classes take nine words a row and are grouped by lexsort.
     [Params(5, (2, 3, 1)), Params(3, (1,) * 5 + (3,) * 60)],
     ids=["partial-last-chunk", "long-histograms"],
 )
@@ -73,6 +79,33 @@ def test_tally_matches_literal_enumeration_across_chunks(monkeypatch, params):
     assert oracle._coverage_profile_counts.__wrapped__(params) == (
         _literal_tally(params)
     )
+
+
+# Params(6, (3, 2)) walks its 2-subsets innermost: 20 prefixes of 15 tuples.
+# A tuple takes three one-word rows and a prefix six more, so 30 cells cut
+# each prefix into 8 + 7 tuples and 153 cells hold three whole prefixes, 20
+# = 6 * 3 + 2 of them, leaving a last chunk of two.
+@pytest.mark.parametrize(
+    ("cells", "chunks"),
+    [(1, [1] * 300), (30, [8, 7] * 20), (153, [45] * 6 + [30])],
+    ids=["one-tuple-a-chunk", "prefix-split-across-chunks",
+         "prefixes-share-a-chunk"],
+)
+def test_tally_chunks_split_and_share_prefixes(monkeypatch, cells, chunks):
+    params = Params(6, (3, 2))
+    sizes = []
+    group = oracle._tally_rows
+
+    def spy(tally, hists, classes):
+        sizes.append(len(hists))
+        group(tally, hists, classes)
+
+    monkeypatch.setattr(oracle, "_CHUNK_CELLS", cells)
+    monkeypatch.setattr(oracle, "_tally_rows", spy)
+    assert oracle._coverage_profile_counts.__wrapped__(params) == (
+        _literal_tally(params)
+    )
+    assert sizes == chunks
 
 
 @pytest.mark.parametrize(
@@ -101,6 +134,34 @@ def test_tally_memory_is_bounded_by_the_chunk():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20, peak
+
+
+def test_tally_memory_at_large_n_is_bounded_by_the_chunk():
+    # 499,500 tuples of two members each. Past the 8 MB subset index array,
+    # a chunk holds 2^16 words of rows and up to three copies of its
+    # histograms while they are grouped: well under 32 bytes a cell.
+    params = Params(1000, (2,))
+    index_bytes = oracle._subsets(1000, 2).nbytes
+    tracemalloc.start()
+    try:
+        tally = oracle._coverage_profile_counts.__wrapped__(params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert tally == {(998, 2): 499_500}
+    assert peak - index_bytes < 32 * oracle._CHUNK_CELLS, peak
+
+
+def test_exhaustive_pmf_at_large_n_matches_the_overlap_law():
+    # Two 2-subsets of 60 elements share j of them with probability
+    # C(2, j) C(58, 2 - j) / C(60, 2), leaving 4 - 2j covered exactly once.
+    pmf = exhaustive_pmf(Params(60, (2, 2)), 1, TailMode.EXACTLY)
+    pairs = math.comb(60, 2)
+    assert pmf.probabilities == {
+        4 - 2 * j: Fraction(math.comb(2, j) * math.comb(58, 2 - j), pairs)
+        for j in (2, 1, 0)
+    }
+    assert pmf.outcome_count == pairs**2 == 3_132_900
 
 
 def test_exhaustive_pmf_overlap_case():
