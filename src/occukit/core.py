@@ -50,7 +50,8 @@ Slots that allow every size factor out in closed form. The states and moves
 depend only on the size sets (not on ``n``, ``m`` or, past ``L``, ``T``), so
 they form a graph built once per shape and kept in a cache bounded by moves;
 each call runs only the weight pass over it, in numpy object arrays of
-Python ints.
+Python ints. One slot left needs no graph: its levels form a chain, walked
+over a list of Python ints.
 ``weight_sum_table`` produces ``G`` for every size vector of a given tuple
 length in one pass: the walk ``_prefix_tables`` over one draw-size vector.
 The inequality sweeps walk many vectors in lexicographic order, each rerunning
@@ -98,7 +99,12 @@ def _as_index(
 
 
 def _is_scalar(value: object) -> bool:
-    return hasattr(type(value), "__index__")
+    """Whether a slot entry is one size rather than a set of sizes: anything
+    that cannot be iterated, so that ``_as_index`` judges it, and a 0-d
+    numpy array."""
+    return not hasattr(type(value), "__iter__") or (
+        type(value) is np.ndarray and value.ndim == 0
+    )
 
 
 def _size_set(values: Iterable[int]) -> frozenset[int]:
@@ -342,6 +348,21 @@ class _Shape(NamedTuple):
     needs: tuple[tuple[float, ...], ...]
 
 
+def _top_level(entries: Sequence[frozenset[int]], T: int) -> tuple[bool, int]:
+    """Whether some size set holds ``T`` (see ``_slot_shape``), and the top
+    level: then the lowest level from which every set holds all or none of
+    the sizes up to ``T``, otherwise the largest size."""
+    if not any(T in sizes for sizes in entries):
+        return False, max(map(max, entries))
+    top = 0
+    for sizes in entries:
+        low = T if T in sizes else max(sizes) + 1
+        while T in sizes and low - 1 in sizes:
+            low -= 1
+        top = max(top, low)
+    return True, top
+
+
 def _slot_shape(entries: Sequence[frozenset[int]], T: int) -> _Shape:
     """The size sets ``entries`` over ``T`` draws as the level walk sees
     them.
@@ -365,10 +386,7 @@ def _slot_shape(entries: Sequence[frozenset[int]], T: int) -> _Shape:
     ``T`` enters only through ``top``: the window ``{t..T}`` has one shape
     at every ``T``.
     """
-    absorbing = any(T in sizes for sizes in entries)
-    top = T if absorbing else max(map(max, entries))
-    while absorbing and all((top - 1 in s) == (T in s) for s in entries):
-        top -= 1
+    absorbing, top = _top_level(entries, T)
     needs = []
     for sizes in sorted(set(entries), key=sorted):
         need = tuple(
@@ -628,6 +646,13 @@ def weight_sum_dp(params: Params, spec: SpecLike) -> int:
     into them lie in the prefix that was live with ``R + 1`` left. Each draw
     is therefore one gather, one multiply and one ``np.add.reduceat`` over
     the first moves of the graph, grouped by target.
+
+    One slot left is a chain with no graph: its level after the draws is
+    the one-element coverage law of the occupancy model, the coefficients
+    of ``prod_i (n - m_i + m_i z)``. The walk keeps ``c_0..c_L`` as a list of
+    Python ints, maps ``c_u <- c_u (n - m_i) + c_(u-1) m_i`` per draw (at an
+    absorbing top ``L``, ``c_L <- c_L n + c_(L-1) m_i``) and sums ``c_u``
+    over the slot's set: no shape, level graph or numpy call.
     """
     spec = SizeSpec.coerce(spec)
     _validate_spec(params, spec)
@@ -638,6 +663,19 @@ def weight_sum_dp(params: Params, spec: SpecLike) -> int:
     scale = falling_factorial(n - r, spec.r - r) ** T
     if r == 0:
         return scale
+    if r == 1:
+        # c[u] weighs the ways the slot's level is u.
+        absorbing, top = _top_level(entries, T)
+        c = [1] + [0] * top
+        for size in m:
+            rest = n - size
+            up = c[top] * size
+            for u in range(top, 0, -1):
+                c[u] = c[u] * rest + c[u - 1] * size
+            c[0] *= rest
+            if absorbing:
+                c[top] += up
+        return scale * sum(c[u] for u in entries[0] if u <= top)
     shape = _slot_shape(entries, T)
     graph = _level_graph(shape, min(T, 2 * shape.top))
     lives, starts, bound = graph.lives, graph.starts, graph.bound

@@ -215,6 +215,9 @@ def test_empty_list_items_are_usage_errors(capsys, argv, flag):
          "p_policy must be one of ('all-equal', 'proximity', 'relaxed', 'all')"),
         (None, ["norm", "--n", "5", "--m", "2,3", "--p", "1,1", "--output", ""],
          "[Errno 2] No such file or directory: ''"),
+        # a config slot that is one non-integer size is named
+        ({"n": 5, "m": [2, 3], "bsets": [1.5, [1, 2]]}, ["norm"],
+         "pattern size must be an integer, got 1.5"),
     ],
 )
 def test_usage_error_messages(capsys, tmp_path, config, argv, message):

@@ -96,10 +96,13 @@ def test_size_spec_rejects_bad_entries():
         lambda: SizeSpec.repeated(False, 2),
         lambda: SizeSpec.coerce([1, (2, True)]),
         lambda: SizeSpec(((1, 2.5),)),
+        # a non-integer scalar is one size, not a set to iterate
+        lambda: SizeSpec.coerce([1.5]),
+        lambda: SizeSpec.repeated(1.5, 2),
     ],
 )
 def test_size_spec_rejects_non_integer_sizes(build):
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="pattern size must be an integer, got "):
         build()
 
 
@@ -109,6 +112,10 @@ def test_size_spec_accepts_numpy_integers():
     assert all(type(s) is int for entry in spec.entries for s in entry)
     assert SizeSpec.fixed(np.int64(2), 3) == SizeSpec.fixed(2, 3)
     assert SizeSpec.repeated(np.uint8(2), 2) == SizeSpec.fixed(2, 2)
+    # a 1-d array is a size set, as a range is
+    assert SizeSpec.coerce([np.arange(3, 7)]) == SizeSpec.coerce([range(3, 7)])
+    assert SizeSpec.repeated(np.arange(3, 7), 2) == SizeSpec.repeated(range(3, 7), 2)
+    assert SizeSpec.coerce([np.int64(1), np.arange(2)]) == SizeSpec.of_sets((1,), (0, 1))
 
 
 def test_spec_size_above_T_rejected():
@@ -291,6 +298,51 @@ def test_dp_matches_table_sums_at_larger_T():
     ):
         expected = sum(table[p] for p in itertools.product(*entries))
         assert weight_sum_dp(params, SizeSpec(entries)) == expected
+
+
+_CHAIN_T = 24
+_CHAIN_SETS = {
+    "zero": frozenset({0}),
+    "T": frozenset({_CHAIN_T}),
+    "half": frozenset({_CHAIN_T // 2}),
+    "window": frozenset(range(6, _CHAIN_T + 1)),
+    "gaps": frozenset({1, 5, 6, 17, 23}),
+}
+
+
+@pytest.mark.parametrize("sizes", _CHAIN_SETS.values(), ids=_CHAIN_SETS)
+def test_one_slot_chain_matches_table_sums(sizes):
+    # One slot left walks the coverage chain; the dense tables of one and
+    # two slots are an independent route, the second with a free slot.
+    params = Params(1000, tuple(range(300, 692, 17)))
+    T = params.T
+    assert T == _CHAIN_T
+    one, two = weight_sum_table(params, 1), weight_sum_table(params, 2)
+    assert weight_sum_dp(params, [sizes]) == sum(one[(p,)] for p in sizes)
+    full = range(T + 1)
+    beside = sum(two[(p, q)] for p in sizes for q in full)
+    assert weight_sum_dp(params, [sizes, full]) == beside
+    assert weight_sum_dp(params, [full, sizes]) == beside
+
+
+def test_one_slot_calls_build_no_level_graph(monkeypatch):
+    params = Params(12, (3, 8, 5, 6, 2, 7, 11, 4))
+    full = range(params.T + 1)
+    specs = [SizeSpec.coerce(s) for s in ([3], [range(2, 9)], [{0, 4}, full], [8])]
+    expected = [weight_sum_naive(params, spec) for spec in specs]
+
+    class NoNumpy:
+        def __getattr__(self, name):
+            raise AssertionError(f"one-slot call used numpy.{name}")
+
+    core._level_graph.cache_clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(core, "np", NoNumpy())
+        assert [weight_sum_dp(params, spec) for spec in specs] == expected
+    assert core._level_graph.cache_info().graphs == 0
+    weight_sum_dp(params, [3, 3])
+    assert core._level_graph.cache_info().graphs == 1
+    core._level_graph.cache_clear()
 
 
 def test_dp_matches_naive_on_eight_slots_of_three_sets():
