@@ -116,6 +116,8 @@ def test_size_spec_accepts_numpy_integers():
     assert SizeSpec.coerce([np.arange(3, 7)]) == SizeSpec.coerce([range(3, 7)])
     assert SizeSpec.repeated(np.arange(3, 7), 2) == SizeSpec.repeated(range(3, 7), 2)
     assert SizeSpec.coerce([np.int64(1), np.arange(2)]) == SizeSpec.of_sets((1,), (0, 1))
+    # a 0-d array is one size
+    assert SizeSpec.coerce([np.array(3)]) == SizeSpec.repeated(np.array(3), 1) == SizeSpec.fixed(3)
 
 
 def test_spec_size_above_T_rejected():
