@@ -504,6 +504,8 @@ def _drop_stdout() -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):  # print exact ints of any length
+        sys.set_int_max_str_digits(0)
     try:
         code = _run(argv)
         with _writing():

@@ -29,10 +29,11 @@ def binomial(n: int, k: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _stirling2_unchecked(v: int, i: int) -> int:
-    if i == 1 or i == v:
-        return 1
-    return i * _stirling2_unchecked(v - 1, i) + _stirling2_unchecked(v - 1, i - 1)
+def _stirling2_row(v: int) -> tuple[int, ...]:
+    row = [1]  # S(0, 0); each pass turns S(u - 1, .) into S(u, 0..u)
+    for u in range(1, v + 1):
+        row = [0] + [k * row[k] + row[k - 1] for k in range(1, u)] + [1]
+    return tuple(row)
 
 
 def stirling2(v: int, i: int) -> int:
@@ -43,7 +44,7 @@ def stirling2(v: int, i: int) -> int:
     """
     if i < 1 or i > v:
         raise ValueError(f"stirling2 needs 1 <= i <= v, got v={v}, i={i}")
-    return _stirling2_unchecked(v, i)
+    return _stirling2_row(v)[i]
 
 
 def iter_k_subsets(universe: int, size: int) -> Iterator[tuple[int, ...]]:
@@ -57,13 +58,13 @@ def iter_k_subsets(universe: int, size: int) -> Iterator[tuple[int, ...]]:
         raise ValueError(f"universe size must be non-negative, got {universe}")
     if size < 0 or size > universe:
         raise ValueError(f"subset size {size} out of range [0, {universe}]")
-    yield from _colex(universe, size)
-
-
-def _colex(universe: int, size: int) -> Iterator[tuple[int, ...]]:
-    if size == 0:
-        yield ()
-        return
-    for top in range(size, universe + 1):
-        for rest in _colex(top - 1, size - 1):
-            yield rest + (top,)
+    # Raise the lowest element that can rise, and reset those below it.
+    c = list(range(1, size + 1)) + [universe + 1]
+    while True:
+        yield tuple(c[:size])
+        j = 0
+        while j < size and c[j] + 1 == c[j + 1]:
+            j += 1
+        if j == size:
+            return
+        c[: j + 1] = [*range(1, j + 1), c[j] + 1]

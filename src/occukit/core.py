@@ -66,7 +66,7 @@ import itertools
 import math
 import operator
 import threading
-from collections import Counter, OrderedDict
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, wraps
@@ -346,6 +346,7 @@ class _Shape(NamedTuple):
     absorbing: bool
     top: int
     needs: tuple[tuple[float, ...], ...]
+    counts: tuple[int, ...]
 
 
 def _top_level(entries: Sequence[frozenset[int]], T: int) -> tuple[bool, int]:
@@ -371,10 +372,11 @@ def _slot_shape(entries: Sequence[frozenset[int]], T: int) -> _Shape:
     the lowest level such that every size set holds either all of
     ``top..T`` or none of it. When some set holds ``T`` the top level is
     absorbing: levels from ``top`` on are not told apart. Otherwise ``top``
-    is the largest size and no slot may pass it. ``needs[j][u]`` is the
-    fewest further memberships that take slot ``j`` from level ``u`` to a
-    size of its set, inf when none can, for ``u`` in ``0..top``; slots of
-    one set are adjacent, the sets in a fixed order.
+    is the largest size and no slot may pass it. Each distinct set comes
+    once, in a fixed order: ``counts[j]`` slots hold set ``j``, and
+    ``needs[j][u]`` is the fewest further memberships that take such a slot
+    from level ``u`` to a size of the set, inf when none can, for ``u`` in
+    ``0..top``.
 
     A tuple's *worst need* is, over every way to hand its levels to the
     slots, the least possible largest need. By Hall's theorem on the
@@ -387,30 +389,30 @@ def _slot_shape(entries: Sequence[frozenset[int]], T: int) -> _Shape:
     at every ``T``.
     """
     absorbing, top = _top_level(entries, T)
-    needs = []
-    for sizes in sorted(set(entries), key=sorted):
-        need = tuple(
+    distinct = sorted(set(entries), key=sorted)
+    needs = tuple(
+        tuple(
             min([s - u for s in sizes if s >= u], default=math.inf)
             for u in range(top + 1)
         )
-        needs += [need] * entries.count(sizes)
-    return _Shape(absorbing, top, tuple(needs))
+        for sizes in distinct
+    )
+    return _Shape(absorbing, top, needs, tuple(map(entries.count, distinct)))
 
 
-def _admissible(
-    needs: Sequence[Sequence[float]], final: Iterable[tuple[int, ...]]
-) -> list[int]:
+def _admissible(shape: _Shape, final: Iterable[tuple[int, ...]]) -> list[int]:
     """For each sorted tuple of levels in ``final``, its orderings on the
-    slots of ``needs`` (see ``_slot_shape``) that give every slot a size of
-    its own set. The recursion hands one level to one slot at a time and
-    keeps its counts per tuple of levels left, so no ordering of all the
-    levels is listed."""
+    slots of ``shape`` that give every slot a size of its own set. The
+    recursion hands one level to one slot at a time, the slots of one set
+    adjacent, and keeps its counts per tuple of levels left, so no ordering
+    of all the levels is listed."""
+    slots = [row for row, c in zip(shape.needs, shape.counts) for _ in range(c)]
 
     @lru_cache(maxsize=None)
     def fits(levels: tuple[int, ...]) -> int:
         if not levels:
             return 1
-        need = needs[-len(levels)]
+        need = slots[-len(levels)]
         return sum(
             fits(levels[:i] + levels[i + 1:])
             for i, u in enumerate(levels)
@@ -497,8 +499,8 @@ def _cache_by_moves(max_moves: int):
 @_cache_by_moves(1 << 20)
 def _level_graph(shape: _Shape, bound: int) -> _LevelGraph:
     """The level graph of ``shape`` whose states satisfy ``bound``."""
-    absorbing, top, needs = shape
-    s = len(needs)
+    absorbing, top, needs, counts = shape
+    s = sum(counts)
     # A need above the bound is as good as infinite: no state may have it.
     capped = np.array([[min(v, bound + 1) for v in need] for need in needs])
     low = capped.min(axis=0)
@@ -515,19 +517,15 @@ def _level_graph(shape: _Shape, bound: int) -> _LevelGraph:
         keep = u + worst <= bound
         last, worst = u[keep], worst[keep]
         levels = np.column_stack([levels[rows[keep]], last])
-    # Then each proper group of the distinct sets, one row of needs and a
-    # slot count per set, raises the worst need to its own condition.
-    firsts = [j for j in range(s) if j == 0 or needs[j] != needs[j - 1]]
-    sets, counts = capped[firsts], np.diff(firsts + [s])
-    groups = itertools.chain.from_iterable(
-        itertools.combinations(range(len(sets)), size) for size in range(1, len(sets))
-    )
-    for group in map(list, groups):
-        c = counts[group].sum()
-        need = sets[group].min(axis=0)[levels]
-        worst = np.maximum(worst, np.partition(need, c - 1, axis=1)[:, c - 1])
-        keep = levels[:, -1] + worst <= bound
-        levels, worst = levels[keep], worst[keep]
+    # Then each proper group of the distinct sets raises the worst need to
+    # its own condition.
+    for size in range(1, len(needs)):
+        for group in map(list, itertools.combinations(range(len(needs)), size)):
+            c = sum(counts[j] for j in group)
+            need = capped[group].min(axis=0)[levels]
+            worst = np.maximum(worst, np.partition(need, c - 1, axis=1)[:, c - 1])
+            keep = levels[:, -1] + worst <= bound
+            levels, worst = levels[keep], worst[keep]
     order = np.argsort(worst, kind="stable")
     levels, worst = levels[order], worst[order]
     lives = np.searchsorted(worst, np.arange(bound + 1), side="right").tolist()
@@ -553,16 +551,13 @@ def _level_graph(shape: _Shape, bound: int) -> _LevelGraph:
     first[:, 1:] = levels[:, 1:] != levels[:, :-1]
     state, col = np.nonzero(first)
     run = np.cumsum(first, axis=1)[state, col] - 1
-    end = np.append(col[1:], s)
-    end[np.append(state[1:] != state[:-1], True)] = s
-    lifts = levels[state, col] < top
     grid = (len(levels), run.max() + 1)
-    ends = np.zeros(grid, dtype=np.intp)
-    ends[state, run] = end
     sizes = np.zeros(grid, dtype=np.intp)
-    sizes[state, run] = end - col
+    # A run ends where the next one starts, in the row-major order of cells.
+    sizes[state, run] = np.diff(np.append(state * s + col, first.size))
+    ends = np.cumsum(sizes, axis=1)
     lift = np.zeros(grid, dtype=bool)
-    lift[state, run] = lifts
+    lift[state, run] = levels[state, col] < top
     movable = sizes if absorbing else sizes * lift
 
     src = np.arange(len(levels))
@@ -587,17 +582,12 @@ def _level_graph(shape: _Shape, bound: int) -> _LevelGraph:
     starts = np.searchsorted(target[order], np.arange(len(levels) + 1))
 
     div = adm = None
-    if len(sets) > 1:
-        final = [tuple(row) for row in levels[: lives[0]].tolist()]
-        div = np.array(
-            [
-                math.factorial(s)
-                // math.prod(map(math.factorial, Counter(row).values()))
-                for row in final
-            ],
-            dtype=object,
-        )
-        adm = np.array(_admissible(needs, final), dtype=object)
+    if len(needs) > 1:
+        # A final state's orderings: s! over the factorials of its runs.
+        runs, final = sizes[: lives[0]].tolist(), levels[: lives[0]].tolist()
+        fact = math.factorial
+        div = np.array([fact(s) // math.prod(map(fact, h)) for h in runs], dtype=object)
+        adm = np.array(_admissible(shape, map(tuple, final)), dtype=object)
     return _LevelGraph(
         bound,
         int(np.flatnonzero(levels[:, -1] == 0)[0]),

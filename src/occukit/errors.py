@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 
 class OccupancyError(Exception):
     """Base class for domain errors raised by occukit."""
@@ -22,7 +24,11 @@ class BudgetExceededError(OccupancyError):
     def __init__(self, tuple_count: int, budget: int):
         self.tuple_count = tuple_count
         self.budget = budget
+        count = tuple_count
+        if count >= 10**20:  # Python prints no int of more than 4300 digits
+            log = math.log10(count)
+            mantissa, carry = f"{10 ** (log % 1):.5e}".split("e")
+            count = f"about {mantissa}e+{int(log) + int(carry)}"
         super().__init__(
-            f"exhaustive enumeration needs {tuple_count} draw tuples, "
-            f"budget is {budget}"
+            f"exhaustive enumeration needs {count} draw tuples, budget is {budget}"
         )

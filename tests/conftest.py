@@ -1,6 +1,19 @@
+import sys
+
 import pytest
 
 from occukit import core
+
+
+@pytest.fixture(autouse=True)
+def int_digit_limit():
+    """Restore Python's limit on the digits of printed ints, which
+    ``cli.main`` lifts for its process, after a test that calls it."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    limit = get() if get else None
+    yield
+    if get:
+        sys.set_int_max_str_digits(limit)
 
 
 @pytest.fixture(params=["int64", "list"])

@@ -122,6 +122,28 @@ def test_norm_command_bsets(capsys):
         assert fraction_from_json(payload["value"]) == value
 
 
+def test_norm_prints_exact_values_beyond_the_digit_limit(capsys):
+    # The denominator has 4,311 digits, past the 4300 that Python prints
+    # by default; the CLI prints it whole in every format.
+    argv = ["norm", "--n", "997", "--m", ",".join(["500"] * 800), "--p", "1,1"]
+    want = core.occupancy_norm(Params(997, (500,) * 800), (1, 1))
+    code, payload = _run_json(capsys, argv + ["--format", "json"])
+    assert code == 0
+    assert len(payload["value"]["den"]) == 4311
+    assert fraction_from_json(payload["value"]) == want
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith(f"{want.numerator}/{want.denominator} ")
+
+
+def test_budget_refusal_of_a_count_beyond_the_digit_limit(capsys):
+    argv = ["pmf", "--n", "20000", "--m", "10000", "--t", "1", "--mode", "exact"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("budget exceeded: ")
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_norm_domain_error_exit_code(capsys):
     assert main(["norm", "--n", "2", "--m", "1,1", "--p", "1,1,1"]) == 2
     assert "domain error" in capsys.readouterr().err

@@ -71,6 +71,11 @@ def test_stirling2_power_sum_identity():
             assert total == x**v
 
 
+def test_stirling2_at_depths_beyond_the_recursion_limit():
+    assert stirling2(1200, 2) == 2**1199 - 1
+    assert stirling2(1200, 3) == (3**1200 - 3 * 2**1200 + 3) // 6
+
+
 def test_iter_k_subsets_small_cases():
     assert list(iter_k_subsets(3, 2)) == [(1, 2), (1, 3), (2, 3)]
     assert list(iter_k_subsets(2, 0)) == [()]
@@ -91,6 +96,11 @@ def test_iter_k_subsets_counts_and_uniqueness():
             assert len(set(items)) == len(items)
             assert all(len(s) == size for s in items)
             assert all(1 <= v <= universe for s in items for v in s)
+
+
+def test_iter_k_subsets_at_sizes_beyond_the_recursion_limit():
+    assert list(iter_k_subsets(1200, 1200)) == [tuple(range(1, 1201))]
+    assert sum(1 for _ in iter_k_subsets(1200, 1)) == 1200
 
 
 def test_iter_k_subsets_reproducible():

@@ -403,6 +403,37 @@ def test_level_graph_numbers_states_by_exact_worst_need(params, spec):
     assert weight_sum_dp(params, spec) == weight_sum_naive(params, spec)
 
 
+@pytest.mark.parametrize(
+    "params, spec",
+    [
+        (Params(8, (3, 5, 4, 6, 2)), [{1, 2}, {1, 2}, {4}]),
+        (Params(8, (3, 5, 4, 6, 2, 7)), [{0, 4}, {2, 3}, {2, 3}, {5}]),
+        (Params(10, (3, 8, 5, 6, 2, 7, 4)), [{1}, {3}, {5}, {6}]),
+        # absorbing tops: {3..T} at T = 6, and {2} = {T} at T = 2
+        (Params(8, (3, 5, 4, 6, 2, 7)), [range(3, 7), range(3, 7), {1}, {0, 2}]),
+        (Params(10, (4, 6)), [{0, 1}] * 2 + [{1, 2}] * 2 + [{2}] * 2),
+    ],
+)
+def test_level_graph_counts_the_orderings_of_its_final_states(params, spec):
+    # The final states are the sorted level tuples that some ordering on
+    # the slots fits, numbered first in lexicographic order. div counts a
+    # tuple's distinct orderings, adm those that give every slot a level in
+    # its own set (at an absorbing top, a set holds top iff it holds T).
+    entries = SizeSpec.coerce(spec).entries
+    graph = _graph_for(params, spec)
+    top = core._slot_shape(entries, params.T).top
+    div, adm = [], []
+    for levels in itertools.combinations_with_replacement(range(top + 1), len(entries)):
+        orders = set(itertools.permutations(levels))
+        fits = sum(all(u in b for u, b in zip(order, entries)) for order in orders)
+        if fits:
+            div.append(len(orders))
+            adm.append(fits)
+    assert graph.lives[0] == len(div)
+    assert graph.div.tolist() == div
+    assert graph.adm.tolist() == adm
+
+
 def test_level_graph_is_shared_by_instances_of_one_shape():
     spec = [{2, 3}, {2, 3}, {4}]
     first, second = Params(9, (4, 5, 2, 7, 3, 6)), Params(11, (2, 9, 5, 5, 1, 10))

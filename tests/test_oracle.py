@@ -218,6 +218,17 @@ def test_budget_enforcement():
     assert exhaustive_pmf(P53, 1, TailMode.EXACTLY, budget=100)
 
 
+def test_budget_refusal_of_a_count_beyond_the_digit_limit():
+    # C(20000, 10000) has 6,019 digits, more than Python prints by default.
+    with pytest.raises(BudgetExceededError) as info:
+        exhaustive_pmf(Params(20000, (10000,)), 1, TailMode.EXACTLY)
+    assert info.value.tuple_count == math.comb(20000, 10000)
+    assert str(info.value) == (
+        "exhaustive enumeration needs about 2.24560e+6018 draw tuples, "
+        "budget is 10000000"
+    )
+
+
 @pytest.mark.parametrize("budget", [-1, -5])
 def test_negative_budget_is_rejected(budget):
     # Not read as "every instance is over budget", nor as a cue to sample.
