@@ -20,13 +20,17 @@ The sampler walks the classical occupancy chain (Charalambides,
 draws themselves: a trial's state is the histogram ``h[0..T]`` of how many
 elements are covered ``c`` times, and a uniform ``m_i``-subset takes ``k_c``
 elements from class ``c`` with multivariate hypergeometric law, drawn as one
-hypergeometric per class. Only the counts are kept, so the state of a block
-of trials costs O(block * T) memory whatever ``n`` is; only the returned
-occupancy histogram has ``n + 1`` entries.
+hypergeometric per class. The chain is lumped to the one count it is
+sampled for: a class that can no longer reach ``t``, or that the count no
+longer depends on, is merged with the others like it, so a draw makes one
+hypergeometric call per live class only. Only the counts are kept, so the
+state of a block of trials costs O(block * t) memory whatever ``n`` is;
+only the returned occupancy histogram has ``n + 1`` entries.
 
 :data:`STREAM_VERSION` names the sampler's seeded stream. It changes whenever
 the estimates for a given ``(instance, seed, trials)`` change: version 1 was
-a partial Fisher-Yates shuffle per draw, version 2 is the histogram chain.
+a partial Fisher-Yates shuffle per draw, version 2 the histogram chain over
+every class, and version 3 is the chain over the live classes only.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ DEFAULT_BUDGET = 10_000_000
 
 COMPARE_METHODS = ("auto", "exhaustive", "monte-carlo")
 
-STREAM_VERSION = 2
+STREAM_VERSION = 3
 
 _BLOCK_TRIALS = 1 << 15
 _MASK64 = (1 << 64) - 1
@@ -67,6 +71,26 @@ def exhaustive_outcome_count(params: Params) -> int:
     for m_i in params.m:
         out *= binomial(params.n, m_i)
     return out
+
+
+def _outcome_count_exceeds(params: Params, budget: int) -> bool:
+    """Whether ``exhaustive_outcome_count(params) > budget``, with no more of
+    the product than the answer needs.
+
+    Each ``C(n, m_i)`` is walked up ``j <= min(m_i, n - m_i)`` by ``C(n, j+1)
+    = C(n, j) (n - j) / (j + 1)``. ``C(n, j)`` rises up to ``n / 2`` and
+    every factor is at least 1, so a running product past the budget proves
+    the whole one is.
+    """
+    n, done = params.n, 1
+    for m_i in params.m:
+        c = 1
+        for j in range(min(m_i, n - m_i)):
+            c = c * (n - j) // (j + 1)
+            if done * c > budget:
+                return True
+        done *= c
+    return done > budget
 
 
 # A chunk of the enumeration holds at most this many 8-byte words of
@@ -243,30 +267,49 @@ def _block_generator(seed: int, block_index: int) -> Generator:
 def _block_histogram(
     params: Params, t: int, mode: TailMode, seed: int, block_index: int, size: int
 ) -> np.ndarray:
-    """Occupancy tally of one block, sampled along the coverage-histogram chain.
+    """Occupancy tally of one block, sampled along the lumped coverage chain.
 
-    ``h[c]`` holds, per trial, the number of elements covered ``c`` times.
-    After draws ``0..i-1`` only classes ``0..i`` are occupied; draw ``i``
-    visits them in order, taking ``k_c`` of its ``left`` remaining picks from
-    class ``c`` against the ``rest`` elements of the classes after it, and
-    the last class takes what remains. Each picked element moves up a class.
+    Per trial, ``h[c]`` counts the elements covered ``c`` times for
+    ``c < t``, and ``h[t]`` the occupancy count itself: the elements covered
+    exactly ``t`` times, or at least ``t`` times. Before draw ``i`` only
+    classes ``0..i`` are occupied and ``R = T - i`` draws are left, this one
+    included. Class ``c`` is live, able to change the count, when ``t - R <=
+    c <= i`` and ``c < t``, or ``c = t`` in exact mode. Every other element
+    is frozen and not tracked by class: below ``t - R`` it can no longer
+    reach ``t``; above ``t`` in exact mode, or at ``t`` in at-least mode, no
+    further pick changes whether it counts.
+
+    Draw ``i`` visits the live classes ``lo..top`` in order: class ``c``
+    gives ``k_c`` of the ``left`` picks, drawn against the ``rest`` elements
+    after it, frozen ones included. While every occupied class is live none
+    is frozen, and the last live class takes what remains with no call. A
+    pick moves its element up a class, out of the tracked ones from class
+    ``t`` in exact mode. Visiting the classes in this order has the full
+    chain's multivariate hypergeometric law, and picks among frozen elements
+    never move the count, so the tally has the full chain's law.
     """
     gen = _block_generator(seed, block_index)
-    h = np.zeros((params.T + 1, size), dtype=np.int64)
-    h[0] = params.n
+    T, n = params.T, params.n
+    h = np.zeros((t + 1, size), dtype=np.int64)
+    h[0] = n
+    ceiling = t if mode is TailMode.EXACTLY else t - 1
     for i, m_i in enumerate(params.m):
-        k = np.empty((i + 1, size), dtype=np.int64)
+        lo, top = max(0, t - (T - i)), min(i, ceiling)
+        # Nothing is frozen while every occupied class 0..i is live.
+        sampled = top if lo or top < i else top - 1
+        k = np.empty((top - lo + 1, size), dtype=np.int64)
         left = np.full(size, m_i, dtype=np.int64)
-        rest = np.full(size, params.n, dtype=np.int64)
-        for c in range(i):
+        rest = np.full(size, n, dtype=np.int64)
+        for c in range(lo, sampled + 1):
             rest -= h[c]
-            k[c] = gen.hypergeometric(h[c], rest, left)
-            left -= k[c]
-        k[i] = left
-        h[: i + 1] -= k
-        h[1 : i + 2] += k
-    x = h[t] if mode is TailMode.EXACTLY else h[t:].sum(axis=0)
-    return np.bincount(x)
+            k[c - lo] = gen.hypergeometric(h[c], rest, left)
+            left -= k[c - lo]
+        if sampled < top:
+            k[-1] = left
+        h[lo : top + 1] -= k
+        up = min(top + 1, t)
+        h[lo + 1 : up + 1] += k[: up - lo]
+    return np.bincount(h[t])
 
 
 def _blocks(trials: int) -> list[tuple[int, int]]:
@@ -415,9 +458,7 @@ def compare_report(
     seed = _as_index(seed, "seed", 0, _MAX_SEED)
     if method == "auto":
         method = (
-            "exhaustive"
-            if exhaustive_outcome_count(params) <= budget
-            else "monte-carlo"
+            "monte-carlo" if _outcome_count_exceeds(params, budget) else "exhaustive"
         )
     rows = []
     if method == "exhaustive":

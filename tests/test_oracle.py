@@ -52,14 +52,17 @@ TALLY_CASES = [
 ]
 
 
+# The criterion-2 family: n in [2, 6], T in [1, 3], draw sizes in [1, n - 1].
+FAMILY = [
+    Params(n, m)
+    for n in range(2, 7)
+    for T in range(1, 4)
+    for m in itertools.product(range(1, n), repeat=T)
+]
+
+
 def test_tally_matches_literal_enumeration():
-    family = [
-        Params(n, m)
-        for n in range(2, 7)
-        for T in range(1, 4)
-        for m in itertools.product(range(1, n), repeat=T)
-    ]
-    for params in family + TALLY_CASES:
+    for params in FAMILY + TALLY_CASES:
         assert oracle._coverage_profile_counts.__wrapped__(params) == (
             _literal_tally(params)
         ), params
@@ -341,7 +344,9 @@ def test_monte_carlo_thread_pool_capped_at_block_count(monkeypatch):
 
 @pytest.mark.parametrize(
     "params",
-    [Params(6, (2, 3, 5, 1)), Params(8, (3, 4, 4)), Params(7, (7, 2)), Params(4, (2,))],
+    [Params(6, (2, 3, 5, 1)), Params(8, (3, 4, 4)), Params(7, (7, 2)), Params(4, (2,)),
+     # Five and six draws: classes die, freeze and reach t at several draws.
+     Params(5, (2, 3, 1, 4, 2)), Params(4, (1, 2, 3, 2, 1, 2))],
     ids=str,
 )
 def test_monte_carlo_histogram_matches_exact_pmf(params):
@@ -361,9 +366,60 @@ def test_monte_carlo_histogram_matches_exact_pmf(params):
                 assert abs(z) <= 5, (t, mode, x, float(z))
 
 
+@pytest.mark.parametrize(
+    ("params", "t", "mode", "calls"),
+    [
+        (Params(40, (12, 15, 18)), 2, TailMode.AT_LEAST, 2),
+        (Params(40, (10, 10, 10)), 1, TailMode.EXACTLY, 3),
+        (Params(35, (14, 7, 21)), 3, TailMode.EXACTLY, 2),
+        (Params(1000, (300, 400, 500, 200, 350)), 2, TailMode.AT_LEAST, 6),
+        (Params(200, (50,) * 8), 1, TailMode.AT_LEAST, 7),
+        (Params(200, (50,) * 8), 3, TailMode.EXACTLY, 19),
+    ],
+    ids=lambda v: str(getattr(v, "value", v)),
+)
+def test_monte_carlo_samples_only_live_classes(monkeypatch, params, t, mode, calls):
+    # One hypergeometric call per live class and draw, none for the last
+    # live class while no element is frozen; the full chain makes T(T-1)/2.
+    made = []
+    make = oracle._block_generator
+
+    class Counting:
+        def __init__(self, gen):
+            self.gen = gen
+
+        def hypergeometric(self, *args):
+            made.append(len(args[0]))
+            return self.gen.hypergeometric(*args)
+
+    monkeypatch.setattr(oracle, "_block_generator", lambda *key: Counting(make(*key)))
+    monte_carlo(params, t, mode, 100, 1)
+    assert made == [100] * calls
+
+
 def test_monte_carlo_rejects_n_beyond_sampler_range():
     with pytest.raises(ValueError, match="n < 1000000000"):
         monte_carlo(Params(10**9, (1,)), 1, TailMode.EXACTLY, 1, 0)
+
+
+def test_outcome_count_exceeds_matches_the_exact_count():
+    for params in FAMILY:
+        count = exhaustive_outcome_count(params)
+        for budget in {0, count - 1, count, count + 1}:
+            assert oracle._outcome_count_exceeds(params, budget) == (
+                count > budget
+            ), (params, budget)
+
+
+def test_compare_auto_routes_without_the_exact_count(monkeypatch):
+    # The exact count of this instance takes seconds to compute.
+    def refuse(params):
+        raise AssertionError("the auto route computed the exact tuple count")
+
+    monkeypatch.setattr(oracle, "exhaustive_outcome_count", refuse)
+    report = compare_report(Params(10**6, (5 * 10**5,) * 2), 1, TailMode.EXACTLY, 1,
+                            trials=10)
+    assert report.method == "monte-carlo"
 
 
 def test_compare_report_exhaustive():
