@@ -8,7 +8,10 @@ they validate:
   Feasible only while ``prod C(n, m_i)`` stays within a budget. Each tuple
   costs ``O(min m_i + T)``: its coverage histogram is that of its other
   draws, decoded once per chunk, with the members of its smallest draw
-  moved up one class. Equal histograms are grouped by their bytes.
+  moved up one class. Equal histograms are grouped by their bytes. The
+  ``m``-subset table of each ``(n, m)`` is kept across calls, in the
+  smallest unsigned dtype, while all kept tables fit in 1 MiB; the pmf is
+  checked on integers and costs one ``Fraction`` per support point.
 * :func:`monte_carlo` samples the coverage histogram with a counter-based RNG
   and reports moment estimates with standard errors. Randomness for a trial
   is a pure function of ``(seed, trial index)``: trials are processed in
@@ -37,10 +40,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import NamedTuple
 
 import numpy as np
@@ -99,13 +104,69 @@ def _outcome_count_exceeds(params: Params, budget: int) -> bool:
 _CHUNK_CELLS = 1 << 16
 
 
+class _TableCacheInfo(NamedTuple):
+    tables: int
+    nbytes: int
+    max_bytes: int
+
+
+def _cache_by_bytes(max_bytes: int):
+    """Like ``functools.lru_cache`` for an ``(n, m) -> array`` builder,
+    bounded by bytes: the least recently used arrays go once all of them
+    hold more than ``max_bytes``. An array larger than the bound is built
+    for its call and not kept. Every array returned is read-only, since a
+    kept one is shared by later calls."""
+
+    def decorate(build):
+        tables: OrderedDict[tuple[int, int], np.ndarray] = OrderedDict()
+        kept = 0
+        lock = threading.Lock()
+
+        @wraps(build)
+        def cached(n: int, m: int) -> np.ndarray:
+            nonlocal kept
+            key = (n, m)
+            with lock:
+                table = tables.get(key)
+                if table is not None:
+                    tables.move_to_end(key)
+                    return table
+                table = build(n, m)
+                table.flags.writeable = False
+                if table.nbytes <= cached.max_bytes:
+                    tables[key] = table
+                    kept += table.nbytes
+                    while kept > cached.max_bytes:
+                        kept -= tables.popitem(last=False)[1].nbytes
+            return table
+
+        def cache_clear() -> None:
+            nonlocal kept
+            with lock:
+                tables.clear()
+                kept = 0
+
+        cached.max_bytes = max_bytes
+        cached.cache_clear = cache_clear
+        cached.cache_info = lambda: _TableCacheInfo(
+            len(tables), kept, cached.max_bytes
+        )
+        return cached
+
+    return decorate
+
+
+# 1 MiB holds every table of the criterion-2 family (n <= 6) and of n = 9,
+# many times over.
+@_cache_by_bytes(1 << 20)
 def _subsets(n: int, m: int) -> np.ndarray:
     """The ``m``-subsets of ``range(n)`` in ``itertools.combinations`` order,
-    one per row of a ``(C(n, m), m)`` array of element indices."""
+    one per row of a ``(C(n, m), m)`` array of element indices in
+    ``min_scalar_type(n - 1)``, the smallest unsigned dtype that holds them."""
     count = binomial(n, m)
     return np.fromiter(
         itertools.chain.from_iterable(itertools.combinations(range(n), m)),
-        dtype=np.intp, count=count * m,
+        dtype=np.min_scalar_type(n - 1), count=count * m,
     ).reshape(count, m)
 
 
@@ -157,7 +218,9 @@ def _coverage_profile_counts(params: Params) -> dict[tuple[int, ...], int]:
     one-hot rows in ``min_scalar_type(n)``, which holds any count up to
     ``n``, and grouped by their bytes in :func:`_tally_rows`, so the tally
     is exact whatever ``n`` and ``T`` are. It depends on neither the draw
-    order nor the chunk size.
+    order nor the chunk size. The subset tables come from :func:`_subsets`,
+    so a repeated ``(n, m)`` reuses its table, and the prefix count is the
+    product of the outer tables' lengths.
 
     A row is ``words`` 8-byte words. A chunk holds at most ``_CHUNK_CELLS``
     words: ``n`` rows per prefix for its one-hot covers, and per tuple one
@@ -169,7 +232,7 @@ def _coverage_profile_counts(params: Params) -> dict[tuple[int, ...], int]:
     inner = by_size[params.m[q]]
     outer = [by_size[m] for m in reversed(params.m[:q] + params.m[q + 1:])]
     span, width = inner.shape
-    outer_count = exhaustive_outcome_count(params) // span
+    outer_count = math.prod(map(len, outer))
     hist_dtype = np.min_scalar_type(n)
     # A histogram row is padded with zeros to whole 8-byte words.
     words = -(-(T + 1) * hist_dtype.itemsize // 8)
@@ -184,10 +247,11 @@ def _coverage_profile_counts(params: Params) -> dict[tuple[int, ...], int]:
         # cover[e * prefixes + p]: how many of prefix p's subsets hold element e
         cover = np.zeros(n * prefixes, dtype=np.intp)
         index = np.arange(first, first + prefixes, dtype=np.int64)
+        # An intp stride widens the narrow members before they are scaled.
+        stride = np.intp(prefixes)
         for members in outer:
             index, subset = np.divmod(index, len(members))
-            at = np.take(members, subset, axis=0)
-            at *= prefixes
+            at = np.take(members, subset, axis=0) * stride
             at += np.arange(prefixes)[:, None]
             cover[at] += 1  # a subset holds each element at most once
         # ones[e, p]: a histogram row with a one in class cover[e, p]
@@ -234,7 +298,13 @@ class ExactPmf:
 def exhaustive_pmf(
     params: Params, t: int, mode: TailMode, budget: int = DEFAULT_BUDGET
 ) -> ExactPmf:
-    """Exact distribution of the occupancy count by full enumeration."""
+    """Exact distribution of the occupancy count by full enumeration.
+
+    The tally's tuple counts per occupancy value must sum to the outcome
+    count, which is the pmf summing to 1, checked on integers; an
+    ``AssertionError`` reports a tally that does not. Each support point
+    then costs one ``Fraction``.
+    """
     threshold_sizes(params.T, t, mode)  # validates t
     budget = _as_index(budget, "budget", 0)
     count = exhaustive_outcome_count(params)
@@ -248,10 +318,10 @@ def exhaustive_pmf(
         else:
             x = sum(hist[t:])
         by_x[x] = by_x.get(x, 0) + tuples
+    total = sum(by_x.values())
+    if total != count:
+        raise AssertionError(f"pmf does not sum to 1: {Fraction(total, count)}")
     probabilities = {x: Fraction(c, count) for x, c in sorted(by_x.items())}
-    total = sum(probabilities.values())
-    if total != 1:
-        raise AssertionError(f"pmf does not sum to 1: {total}")
     return ExactPmf(
         params=params, t=t, mode=mode, probabilities=probabilities,
         outcome_count=count,

@@ -1,11 +1,14 @@
+import importlib
 import itertools
 import math
+import pkgutil
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import occukit
 from occukit import oracle
 from occukit.core import Params
 from occukit.errors import BudgetExceededError
@@ -153,6 +156,78 @@ def test_tally_memory_at_large_n_is_bounded_by_the_chunk():
         tracemalloc.stop()
     assert tally == {(998, 2): 499_500}
     assert peak - index_bytes < 32 * oracle._CHUNK_CELLS, peak
+
+
+@pytest.mark.parametrize("change", [-1, 1], ids=["one-short", "one-over"])
+def test_exhaustive_pmf_checks_the_tuple_count(monkeypatch, change):
+    tally = dict(oracle._coverage_profile_counts.__wrapped__(P53))
+    hist = next(iter(tally))
+    tally[hist] += change
+    monkeypatch.setattr(oracle, "_coverage_profile_counts", lambda params: tally)
+    with pytest.raises(AssertionError, match="pmf does not sum to 1"):
+        exhaustive_pmf(P53, 1, TailMode.EXACTLY)
+
+
+def test_subset_tables_are_the_combinations_in_the_narrow_dtype():
+    # n - 1 < 256 takes uint8 and n - 1 = 256 uint16.
+    cases = [(n, m) for n in range(1, 13) for m in range(1, n + 1)]
+    for n, m in cases + [(257, 1), (257, 2), (300, 2)]:
+        table = oracle._subsets(n, m)
+        assert table.dtype == np.min_scalar_type(n - 1), (n, m)
+        assert table.shape == (math.comb(n, m), m), (n, m)
+        assert table.tolist() == [
+            list(c) for c in itertools.combinations(range(n), m)
+        ], (n, m)
+        assert not table.flags.writeable
+
+
+def test_subset_table_cache_keeps_its_byte_bound(monkeypatch):
+    monkeypatch.setattr(oracle._subsets, "max_bytes", 600)
+    oracle._subsets.cache_clear()
+    # Tables of 6 to 504 bytes, 1,188 in all, and C(9, 5)'s 630, past the
+    # bound: each call evicts what the bound no longer holds.
+    for params in [Params(9, (3, 3, 4)), Params(8, (4, 2)), Params(9, (4, 5)),
+                   Params(6, (3, 1, 2)), Params(9, (3, 4))]:
+        oracle._coverage_profile_counts.__wrapped__(params)
+        info = oracle._subsets.cache_info()
+        assert 0 < info.nbytes <= 600, (params, info)
+    # C(10, 5) rows of five bytes, past the bound: built, returned, not kept.
+    before = oracle._subsets.cache_info()
+    big = oracle._subsets(10, 5)
+    assert big.nbytes == 1260
+    assert big.tolist() == [list(c) for c in itertools.combinations(range(10), 5)]
+    assert oracle._subsets.cache_info() == before
+    assert oracle._subsets(10, 5) is not big
+    assert oracle._subsets(9, 4) is oracle._subsets(9, 4)
+
+
+def test_tally_is_the_same_with_the_table_cache_empty_and_full():
+    tally = oracle._coverage_profile_counts.__wrapped__
+    cold = {}
+    for params in FAMILY:
+        oracle._subsets.cache_clear()
+        cold[params] = tally(params)
+    for params in FAMILY:
+        tally(params)
+    # Every (n, m) of the family, 1 + 2 + 3 + 4 + 5 tables, is kept.
+    assert oracle._subsets.cache_info().tables == 15
+    for params in FAMILY:
+        assert tally(params) == cold[params], params
+
+
+def test_every_package_memo_clears_with_no_arguments():
+    # Between passes the benchmark calls cache_clear() on every module
+    # attribute that has a callable one, classes included.
+    cleared = set()
+    for info in pkgutil.iter_modules(occukit.__path__):
+        module = importlib.import_module(f"occukit.{info.name}")
+        for name, value in vars(module).items():
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
+                cleared.add(f"{info.name}.{name}")
+    assert {
+        "oracle._subsets", "oracle._coverage_profile_counts", "core._level_graph"
+    } <= cleared
 
 
 def test_exhaustive_pmf_at_large_n_matches_the_overlap_law():
